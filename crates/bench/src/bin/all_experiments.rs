@@ -3,23 +3,26 @@
 //! [`ramp_bench::Harness`]. Output is markdown; EXPERIMENTS.md is the
 //! curated record of one full run.
 //!
-//! The experiment matrix is sharded across cores (`-j N`, `--threads N`
-//! or `RAMP_THREADS`; default all cores) by prewarming the harness caches
-//! through [`ramp_sim::exec`]; every figure is then formatted from cached
-//! results, so stdout is byte-identical at any thread count.
+//! The experiment matrix is one list of points prewarmed through the
+//! harness's batch executor, sharded across cores (`-j N`, `--threads N`
+//! or `RAMP_THREADS`; default all cores); every figure is then formatted
+//! from cached results, so stdout is byte-identical at any thread count.
+//! Figure 13's per-interval configs are points of their own, prewarmed in
+//! its section, so a warm store serves them like every other run.
 
 use ramp_avf::{
     hotness_avf_correlation, hottest_pages, writeratio_avf_correlation, Quadrant, QuadrantAnalysis,
 };
 use ramp_bench::{
-    fmt_pct, fmt_x, geomean_or_one, migration_vs_perf, print_relative, print_table,
-    run_migration_memo, static_vs_perf, workloads, Harness,
+    fc_interval_rows, fmt_pct, fmt_x, geomean_or_one, migration_vs_perf, print_relative,
+    print_table, static_vs_perf, workloads, Harness,
 };
 use ramp_core::annotate::select_annotations;
 use ramp_core::hwcost;
 use ramp_core::migration::MigrationScheme;
 use ramp_core::placement::PlacementPolicy;
 use ramp_faultsim::{run_monte_carlo, RasConfig};
+use ramp_serve::spec::RunAction;
 use ramp_sim::exec::{parallel_map, StageTimer};
 use ramp_sim::stats::Histogram;
 use ramp_sim::SimRng;
@@ -44,38 +47,36 @@ const SWEEP_INTERVALS: [u64; 4] = [100_000, 200_000, 400_000, 1_600_000];
 fn prewarm(h: &mut Harness, wls: &[Workload]) {
     eprintln!("sharding experiment matrix over {} threads", h.threads);
     let total = StageTimer::new("prewarm total");
-    h.prewarm_profiles(wls);
-    h.prewarm_static(
+    let mut points = h.grid(
         wls,
         &[
-            PlacementPolicy::PerfFocused,
-            PlacementPolicy::RelFocused,
-            PlacementPolicy::Balanced,
-            PlacementPolicy::WrRatio,
-            PlacementPolicy::Wr2Ratio,
+            RunAction::Profile,
+            RunAction::Static(PlacementPolicy::PerfFocused),
+            RunAction::Static(PlacementPolicy::RelFocused),
+            RunAction::Static(PlacementPolicy::Balanced),
+            RunAction::Static(PlacementPolicy::WrRatio),
+            RunAction::Static(PlacementPolicy::Wr2Ratio),
+            RunAction::Migration(MigrationScheme::PerfFc),
+            RunAction::Migration(MigrationScheme::RelFc),
+            RunAction::Migration(MigrationScheme::CrossCounter),
+            RunAction::Annotated,
         ],
     );
-    h.prewarm_static(
+    // Figure 1: the HBM-fraction frontier and the two policies it
+    // compares, over the frontier workloads.
+    let frontier = [0.0f64, 0.25, 0.5, 0.75, 1.0].map(PlacementPolicy::FracHottest);
+    let frontier = frontier
+        .into_iter()
+        .chain([PlacementPolicy::Wr2Ratio, PlacementPolicy::Balanced]);
+    points.extend(h.grid(
         &FRONTIER_WLS,
-        &[0.0f64, 0.25, 0.5, 0.75, 1.0].map(PlacementPolicy::FracHottest),
-    );
-    h.prewarm_migration(
-        wls,
-        &[
-            MigrationScheme::PerfFc,
-            MigrationScheme::RelFc,
-            MigrationScheme::CrossCounter,
-        ],
-    );
-    h.prewarm_annotated(wls);
+        &frontier.map(RunAction::Static).collect::<Vec<_>>(),
+    ));
+    h.prewarm(&points);
     total.finish();
 }
 
 fn main() {
-    // Config-sweep sections below rebuild harnesses whose default point
-    // matches the main config; memoize runs process-wide so a cold store
-    // never simulates the same (config, workload, policy) twice.
-    ramp_bench::enable_run_memo();
     let mut h = Harness::new();
     let wls = workloads();
     prewarm(&mut h, &wls);
@@ -372,32 +373,8 @@ fn main() {
     );
 
     // ---- Figure 13 ----------------------------------------------------
-    // The interval sweep uses per-task configs, so it shards directly
-    // through exec rather than the harness caches; results come back in
-    // input order, keeping the table deterministic.
     println!("\n\n## Figure 13: FC-interval sweep\n");
-    let sweep: Vec<(Workload, u64)> = SWEEP_WLS
-        .iter()
-        .flat_map(|wl| SWEEP_INTERVALS.iter().map(move |&iv| (*wl, iv)))
-        .collect();
-    let sweep_profiles: Vec<_> = SWEEP_WLS.iter().map(|wl| h.profile(wl)).collect();
-    let sweep_ipc = {
-        let base_cfg = &h.cfg;
-        parallel_map(h.threads, sweep, |i, (wl, iv)| {
-            let mut cfg = base_cfg.clone();
-            cfg.fc_interval_cycles = *iv;
-            let profile = &sweep_profiles[i / SWEEP_INTERVALS.len()];
-            run_migration_memo(&cfg, wl, MigrationScheme::PerfFc, &profile.table).ipc
-        })
-    };
-    let mut f13 = Vec::new();
-    for (wi, wl) in SWEEP_WLS.iter().enumerate() {
-        let mut row = vec![wl.name().to_string()];
-        for ii in 0..SWEEP_INTERVALS.len() {
-            row.push(format!("{:.3}", sweep_ipc[wi * SWEEP_INTERVALS.len() + ii]));
-        }
-        f13.push(row);
-    }
+    let f13 = fc_interval_rows(&mut h, &SWEEP_WLS, &SWEEP_INTERVALS);
     print_table(
         "Figure 13 (IPC per FC interval; paper: 100 ms = our 400k-cycle default is best)",
         &["workload", "100k", "200k", "400k (default)", "1.6M"],

@@ -6,11 +6,12 @@ use ramp_avf::{
     hotness_avf_correlation, hottest_pages, writeratio_avf_correlation, Quadrant, QuadrantAnalysis,
 };
 use ramp_bench::{print_table, workloads, Harness};
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_profiles(&wls);
+    h.prewarm(&h.grid(&wls, &[RunAction::Profile]));
     let mut rows = Vec::new();
     for wl in wls {
         let r = h.profile(&wl);

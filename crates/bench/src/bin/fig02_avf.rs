@@ -4,11 +4,12 @@
 //! AVF-aware application-specific placement.
 
 use ramp_bench::{print_table, workloads, Harness};
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_profiles(&wls);
+    h.prewarm(&h.grid(&wls, &[RunAction::Profile]));
     let mut rows: Vec<(f64, String)> = wls
         .iter()
         .map(|wl| {

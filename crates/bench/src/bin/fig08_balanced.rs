@@ -4,14 +4,18 @@
 
 use ramp_bench::{print_relative, static_vs_perf, workloads, Harness};
 use ramp_core::placement::PlacementPolicy;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let all = workloads();
-    h.prewarm_static(
+    h.prewarm(&h.grid(
         &all,
-        &[PlacementPolicy::Balanced, PlacementPolicy::PerfFocused],
-    );
+        &[
+            RunAction::Static(PlacementPolicy::Balanced),
+            RunAction::Static(PlacementPolicy::PerfFocused),
+        ],
+    ));
     let wls = h.workloads_by_mpki(&all);
     let rows = static_vs_perf(&mut h, &wls, PlacementPolicy::Balanced);
     print_relative(

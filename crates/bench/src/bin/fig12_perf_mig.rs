@@ -5,11 +5,12 @@
 
 use ramp_bench::{fmt_x, geomean_or_one, print_table, workloads, Harness};
 use ramp_core::migration::MigrationScheme;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_migration(&wls, &[MigrationScheme::PerfFc]);
+    h.prewarm(&h.grid(&wls, &[RunAction::Migration(MigrationScheme::PerfFc)]));
     let mut rows = Vec::new();
     let mut ipcs = Vec::new();
     let mut sers = Vec::new();

@@ -5,11 +5,18 @@
 
 use ramp_bench::{migration_vs_perf, print_relative, workloads, Harness};
 use ramp_core::migration::MigrationScheme;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let all = workloads();
-    h.prewarm_migration(&all, &[MigrationScheme::RelFc, MigrationScheme::PerfFc]);
+    h.prewarm(&h.grid(
+        &all,
+        &[
+            RunAction::Migration(MigrationScheme::RelFc),
+            RunAction::Migration(MigrationScheme::PerfFc),
+        ],
+    ));
     let wls = h.workloads_by_mpki(&all);
     let rows = migration_vs_perf(&mut h, &wls, MigrationScheme::RelFc);
     print_relative(

@@ -5,14 +5,18 @@
 
 use ramp_bench::{migration_vs_perf, print_relative, workloads, Harness};
 use ramp_core::migration::MigrationScheme;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let all = workloads();
-    h.prewarm_migration(
+    h.prewarm(&h.grid(
         &all,
-        &[MigrationScheme::CrossCounter, MigrationScheme::PerfFc],
-    );
+        &[
+            RunAction::Migration(MigrationScheme::CrossCounter),
+            RunAction::Migration(MigrationScheme::PerfFc),
+        ],
+    ));
     let wls = h.workloads_by_mpki(&all);
     let rows = migration_vs_perf(&mut h, &wls, MigrationScheme::CrossCounter);
     print_relative(

@@ -5,12 +5,18 @@
 
 use ramp_bench::{fmt_x, geomean_or_one, print_table, workloads, Harness};
 use ramp_core::placement::PlacementPolicy;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_static(&wls, &[PlacementPolicy::PerfFocused]);
-    h.prewarm_annotated(&wls);
+    h.prewarm(&h.grid(
+        &wls,
+        &[
+            RunAction::Static(PlacementPolicy::PerfFocused),
+            RunAction::Annotated,
+        ],
+    ));
     let mut rows = Vec::new();
     let mut ipcs = Vec::new();
     let mut sers = Vec::new();

@@ -5,11 +5,12 @@
 
 use ramp_bench::{print_table, workloads, Harness};
 use ramp_core::annotate::select_annotations;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_profiles(&wls);
+    h.prewarm(&h.grid(&wls, &[RunAction::Profile]));
     let mut rows = Vec::new();
     let mut counts = Vec::new();
     for wl in wls {

@@ -6,29 +6,25 @@ use ramp_bench::{
 };
 use ramp_core::migration::MigrationScheme;
 use ramp_core::placement::PlacementPolicy;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_static(
+    h.prewarm(&h.grid(
         &wls,
         &[
-            PlacementPolicy::PerfFocused,
-            PlacementPolicy::RelFocused,
-            PlacementPolicy::Balanced,
-            PlacementPolicy::WrRatio,
-            PlacementPolicy::Wr2Ratio,
+            RunAction::Static(PlacementPolicy::PerfFocused),
+            RunAction::Static(PlacementPolicy::RelFocused),
+            RunAction::Static(PlacementPolicy::Balanced),
+            RunAction::Static(PlacementPolicy::WrRatio),
+            RunAction::Static(PlacementPolicy::Wr2Ratio),
+            RunAction::Migration(MigrationScheme::PerfFc),
+            RunAction::Migration(MigrationScheme::RelFc),
+            RunAction::Migration(MigrationScheme::CrossCounter),
+            RunAction::Annotated,
         ],
-    );
-    h.prewarm_migration(
-        &wls,
-        &[
-            MigrationScheme::PerfFc,
-            MigrationScheme::RelFc,
-            MigrationScheme::CrossCounter,
-        ],
-    );
-    h.prewarm_annotated(&wls);
+    ));
     let mut rows = Vec::new();
 
     let statics = [

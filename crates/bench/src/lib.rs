@@ -6,93 +6,43 @@
 //! --bin fig05_perf_static`); `all_experiments` runs the whole suite,
 //! sharing profiling passes and baseline runs through [`Harness`].
 //!
-//! Simulation runs are independent `(workload, policy, config)` tasks, so
-//! the harness shards them across cores with [`ramp_sim::exec`]: the
-//! `prewarm_*` methods fill the caches in parallel (`-j N`, `--threads N`
-//! or `RAMP_THREADS`; default: all cores), after which the figure code
-//! reads cached results and formats them sequentially — stdout is
+//! Every simulation is a point: a `(SystemConfig, RunSpec)` pair naming
+//! the workload, the run kind and its policy or scheme, and the config.
+//! [`Harness::prewarm`] hands a list of points to the store-first batch
+//! executor ([`BatchExec`]), which shards the missing runs across cores
+//! with [`ramp_sim::exec`] (`-j N`, `--threads N` or `RAMP_THREADS`;
+//! default: all cores). The figure code then reads the cached results
+//! through the typed accessors and formats them sequentially — stdout is
 //! byte-identical at every thread count.
 //!
 //! The harness is also backed by the persistent `ramp_serve` run store
 //! (`target/ramp-store/` by default; `RAMP_STORE=off` disables,
-//! `RAMP_STORE_DIR` relocates): every `prewarm_*` method resolves store
-//! hits before simulating and persists what it simulated, so a second
-//! invocation of any experiment binary performs **zero** simulations and
-//! prints byte-identical stdout. Store hit/miss counters are volatile
-//! process observability and surface only in the `RAMP_STATS=table`
-//! epilogue, never in the deterministic `json` document.
+//! `RAMP_STORE_DIR` relocates): the executor resolves store hits before
+//! simulating and persists what it simulated, so a second invocation of
+//! any experiment binary performs **zero** simulations and prints
+//! byte-identical stdout. With the store off, the harness's own run cache
+//! still simulates each distinct run once per process. Store hit/miss
+//! counters are volatile process observability and surface only in the
+//! `RAMP_STATS=table` epilogue, never in the deterministic `json`
+//! document.
 
 pub mod microbench;
 pub mod scorecard;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use ramp_core::annotate::AnnotationSet;
 use ramp_core::config::SystemConfig;
 use ramp_core::migration::MigrationScheme;
 use ramp_core::placement::PlacementPolicy;
-use ramp_core::runner::{
-    build_annotated_sim, build_migration_sim, build_profile_sim, build_static_sim,
-};
 use ramp_core::system::RunResult;
-use ramp_serve::spec::{run_with_recovery, ANNOTATED_POLICY, PROFILE_POLICY};
-use ramp_serve::store::{run_key, RunKind, RunStore};
+use ramp_serve::spec::{BatchExec, Point, PointOutcome, RunAction, RunOutput, RunSpec};
+use ramp_serve::store::RunStore;
 use ramp_sim::chaos;
-use ramp_sim::exec::{try_parallel_map_metrics, ExecMetrics, StageTimer, TaskOptions};
+use ramp_sim::exec::{ExecMetrics, TaskOptions};
 use ramp_sim::telemetry::{render_runs_json, render_runs_table, Snapshot, StatRegistry};
 use ramp_trace::Workload;
-
-/// Process-wide memo of finished runs keyed by [`run_key`] (which hashes
-/// the full config, so distinct sweep points never collide). Multi-figure
-/// drivers construct fresh [`Harness`] instances per config sweep, and
-/// several sweeps include the default config point — with the persistent
-/// store disabled (`RAMP_STORE=off`, the scorecard's cold probe) those
-/// would re-simulate identical runs. Disabled by default so tests and the
-/// serving stack (whose recovery paths deliberately re-execute runs) are
-/// unaffected; `all_experiments` opts in at startup.
-static RUN_MEMO: std::sync::Mutex<Option<HashMap<String, RunResult>>> = std::sync::Mutex::new(None);
-
-/// Enables the process-wide run memo (see [`RUN_MEMO`]). Idempotent.
-pub fn enable_run_memo() {
-    let mut memo = RUN_MEMO.lock().expect("memo lock");
-    if memo.is_none() {
-        *memo = Some(HashMap::new());
-    }
-}
-
-fn memo_get(key: &str) -> Option<RunResult> {
-    RUN_MEMO
-        .lock()
-        .expect("memo lock")
-        .as_ref()
-        .and_then(|m| m.get(key).cloned())
-}
-
-fn memo_put(key: &str, r: &RunResult) {
-    if let Some(m) = RUN_MEMO.lock().expect("memo lock").as_mut() {
-        m.insert(key.to_string(), r.clone());
-    }
-}
-
-/// Memo-aware variant of [`ramp_core::runner::run_migration`] for sweep
-/// sections that vary the config per task: a sweep point whose config
-/// coincides with an already-simulated run — e.g. the default column of a
-/// parameter sweep — reuses that result instead of re-simulating. Safe to
-/// call from worker threads; with the memo disabled it is a plain run.
-pub fn run_migration_memo(
-    cfg: &SystemConfig,
-    wl: &Workload,
-    scheme: MigrationScheme,
-    profile: &ramp_avf::StatsTable,
-) -> RunResult {
-    let key = run_key(cfg, RunKind::Migration, wl.name(), scheme.name());
-    if let Some(r) = memo_get(&key) {
-        return r;
-    }
-    let r = build_migration_sim(cfg, wl, scheme, profile).run();
-    memo_put(&key, &r);
-    r
-}
 
 /// Environment variable overriding the per-core instruction budget.
 pub const ENV_INSTS: &str = "RAMP_INSTS";
@@ -150,25 +100,25 @@ pub fn workloads() -> Vec<Workload> {
     Workload::all()
 }
 
-/// Caches profiling passes, static runs, migration runs and annotation
-/// runs so that multi-figure drivers execute each simulation exactly once
-/// — and, via the `prewarm_*` methods, execute the missing ones in
-/// parallel.
+/// A run cache keyed by run key over the store-first batch executor:
+/// multi-figure binaries execute each simulation exactly once, and
+/// [`Harness::prewarm`] executes the missing ones in parallel.
 #[derive(Debug)]
 pub struct Harness {
-    /// The system configuration used by every run.
+    /// The system configuration of every run the typed accessors read.
     pub cfg: SystemConfig,
-    /// Worker threads used by the `prewarm_*` methods.
+    /// Worker threads of [`Harness::prewarm`].
     pub threads: usize,
-    /// Executor counters accumulated across every `prewarm_*` stage
-    /// (steal counts, busy time; volatile — table mode only).
+    /// Executor counters accumulated across every prewarm (steal counts,
+    /// busy time; volatile — table mode only).
     pub metrics: ExecMetrics,
     store: Option<RunStore>,
     failures: Vec<String>,
-    profiles: HashMap<&'static str, RunResult>,
-    statics: HashMap<(&'static str, String), RunResult>,
-    migrations: HashMap<(&'static str, &'static str), RunResult>,
-    annotated: HashMap<&'static str, (RunResult, AnnotationSet)>,
+    /// Every run resolved so far, by run key (any config).
+    runs: HashMap<String, RunOutput>,
+    /// Telemetry label → run key of each run read through a typed
+    /// accessor: the runs the figures show, at [`Harness::cfg`].
+    read: BTreeMap<String, String>,
 }
 
 impl Harness {
@@ -187,10 +137,8 @@ impl Harness {
             metrics: ExecMetrics::new(),
             store,
             failures: Vec::new(),
-            profiles: HashMap::new(),
-            statics: HashMap::new(),
-            migrations: HashMap::new(),
-            annotated: HashMap::new(),
+            runs: HashMap::new(),
+            read: BTreeMap::new(),
         }
     }
 
@@ -200,7 +148,7 @@ impl Harness {
     }
 
     /// Runs that failed (panicked past the retry budget) during a
-    /// `prewarm_*` stage, plus runs skipped because a dependency failed.
+    /// prewarm, plus runs skipped because their profile failed.
     /// Empty unless `RAMP_CHAOS` (or a simulator bug) is in play — the
     /// harness isolates such failures per task, reports them in
     /// [`finish`]'s epilogue and keeps going with the runs that survived.
@@ -208,492 +156,127 @@ impl Harness {
         &self.failures
     }
 
-    /// Fills the profile cache for `wls` in parallel (missing entries
-    /// only, store hits resolved from disk first). Every other run kind
-    /// consumes a profile, so call this (or a `prewarm_*` method that
-    /// does) before fanning out further stages.
-    pub fn prewarm_profiles(&mut self, wls: &[Workload]) {
-        let mut missing: Vec<Workload> = wls
-            .iter()
-            .filter(|wl| !self.profiles.contains_key(wl.name()))
-            .copied()
-            .collect();
-        missing.retain(|wl| {
-            let key = run_key(&self.cfg, RunKind::Profile, wl.name(), PROFILE_POLICY);
-            match memo_get(&key) {
-                Some(r) => {
-                    self.profiles.insert(wl.name(), r);
-                    false
-                }
-                None => true,
-            }
-        });
-        if let Some(store) = &self.store {
-            missing.retain(|wl| {
-                let key = run_key(&self.cfg, RunKind::Profile, wl.name(), PROFILE_POLICY);
-                match store.load_run(&key) {
-                    Some(r) => {
-                        self.profiles.insert(wl.name(), r);
-                        false
-                    }
-                    None => true,
-                }
-            });
-        }
-        if missing.is_empty() {
-            return;
-        }
-        let timer = StageTimer::new(format!(
-            "profile x{} (threads={})",
-            missing.len(),
-            self.threads
-        ));
-        let cfg = &self.cfg;
-        let store = self.store.as_ref();
-        let names: Vec<&'static str> = missing.iter().map(|wl| wl.name()).collect();
-        let results = try_parallel_map_metrics(
-            self.threads,
-            missing,
-            &self.metrics,
-            None,
-            &TaskOptions::from_env(),
-            |_, wl| {
-                eprintln!("  [profile] {}", wl.name());
-                let key = run_key(cfg, RunKind::Profile, wl.name(), PROFILE_POLICY);
-                let label = format!("{}/{PROFILE_POLICY}", wl.name());
-                let (r, _) =
-                    run_with_recovery(|| build_profile_sim(cfg, wl), &key, &label, store, None);
-                (wl.name(), r)
-            },
-        );
-        for result in results {
-            match result {
-                Ok((name, r)) => {
-                    let key = run_key(&self.cfg, RunKind::Profile, name, PROFILE_POLICY);
-                    memo_put(&key, &r);
-                    if let Some(store) = &self.store {
-                        store.store_run(&key, &r);
-                    }
-                    self.profiles.insert(name, r);
-                }
-                Err(e) => self
-                    .failures
-                    .push(format!("profile {}: {e}", names[e.task()])),
-            }
-        }
-        timer.finish();
+    /// The points `wls × actions` at the experiment config,
+    /// workload-major.
+    pub fn grid(&self, wls: &[Workload], actions: &[RunAction]) -> Vec<Point> {
+        wls.iter()
+            .flat_map(|&workload| {
+                actions
+                    .iter()
+                    .map(move |&action| (self.cfg.clone(), RunSpec { workload, action }))
+            })
+            .collect()
     }
 
-    /// Fills the static-run cache for every `(workload, policy)` pair in
-    /// parallel (missing entries only). Store hits are resolved from disk
-    /// first; profiles are prewarmed only for pairs that actually need
-    /// simulating, so a fully warm store performs zero simulations.
-    pub fn prewarm_static(&mut self, wls: &[Workload], policies: &[PlacementPolicy]) {
-        let mut missing: Vec<(Workload, PlacementPolicy)> = wls
-            .iter()
-            .flat_map(|wl| policies.iter().map(move |p| (*wl, *p)))
-            .filter(|(wl, p)| !self.statics.contains_key(&(wl.name(), p.name())))
-            .collect();
-        missing.retain(|(wl, p)| {
-            let key = run_key(&self.cfg, RunKind::Static, wl.name(), &p.name());
-            match memo_get(&key) {
-                Some(r) => {
-                    self.statics.insert((wl.name(), p.name()), r);
-                    false
-                }
-                None => true,
-            }
-        });
-        if let Some(store) = &self.store {
-            missing.retain(|(wl, p)| {
-                let key = run_key(&self.cfg, RunKind::Static, wl.name(), &p.name());
-                match store.load_run(&key) {
-                    Some(r) => {
-                        self.statics.insert((wl.name(), p.name()), r);
-                        false
-                    }
-                    None => true,
-                }
-            });
-        }
-        if missing.is_empty() {
-            return;
-        }
-        let need_profiles = dedupe_workloads(missing.iter().map(|(wl, _)| *wl));
-        self.prewarm_profiles(&need_profiles);
-        // A profile that failed its retry budget leaves dependents
-        // unrunnable: record the skip and keep going with the rest.
-        missing.retain(|(wl, p)| {
-            let ok = self.profiles.contains_key(wl.name());
-            if !ok {
-                self.failures.push(format!(
-                    "static {} {}: skipped (profile unavailable)",
-                    p.name(),
-                    wl.name()
-                ));
-            }
-            ok
-        });
-        if missing.is_empty() {
-            return;
-        }
-        let timer = StageTimer::new(format!(
-            "static x{} (threads={})",
-            missing.len(),
-            self.threads
-        ));
-        let cfg = &self.cfg;
-        let store = self.store.as_ref();
-        let profiles = &self.profiles;
-        let labels: Vec<String> = missing
-            .iter()
-            .map(|(wl, p)| format!("{} {}", p.name(), wl.name()))
-            .collect();
-        let results = try_parallel_map_metrics(
-            self.threads,
-            missing,
-            &self.metrics,
-            None,
-            &TaskOptions::from_env(),
-            |_, (wl, policy)| {
-                eprintln!("  [static {}] {}", policy.name(), wl.name());
-                let key = run_key(cfg, RunKind::Static, wl.name(), &policy.name());
-                let label = format!("{}/{}", wl.name(), policy.name());
-                let (r, _) = run_with_recovery(
-                    || build_static_sim(cfg, wl, *policy, &profiles[wl.name()].table),
-                    &key,
-                    &label,
-                    store,
-                    None,
-                );
-                ((wl.name(), policy.name()), r)
-            },
-        );
-        for result in results {
-            match result {
-                Ok((key, r)) => {
-                    let skey = run_key(&self.cfg, RunKind::Static, key.0, &key.1);
-                    memo_put(&skey, &r);
-                    if let Some(store) = &self.store {
-                        store.store_run(&skey, &r);
-                    }
-                    self.statics.insert(key, r);
-                }
-                Err(e) => self
-                    .failures
-                    .push(format!("static {}: {e}", labels[e.task()])),
-            }
-        }
-        timer.finish();
+    /// Resolves every point not yet cached through the batch executor:
+    /// store hits first, each missing DDR-only profile once (under the
+    /// experiment config, whatever the point's own config), then the
+    /// remaining runs in parallel, persisting each. Tasks run under the
+    /// `RAMP_CHAOS` retry budget and fault injection.
+    pub fn prewarm(&mut self, points: &[Point]) {
+        self.execute(points, &TaskOptions::from_env());
     }
 
-    /// Fills the migration-run cache for every `(workload, scheme)` pair
-    /// in parallel (missing entries only; store hits resolved first,
-    /// profiles prewarmed only for pairs that need simulating).
-    pub fn prewarm_migration(&mut self, wls: &[Workload], schemes: &[MigrationScheme]) {
-        let mut missing: Vec<(Workload, MigrationScheme)> = wls
-            .iter()
-            .flat_map(|wl| schemes.iter().map(move |s| (*wl, *s)))
-            .filter(|(wl, s)| !self.migrations.contains_key(&(wl.name(), s.name())))
-            .collect();
-        missing.retain(|(wl, s)| {
-            let key = run_key(&self.cfg, RunKind::Migration, wl.name(), s.name());
-            match memo_get(&key) {
-                Some(r) => {
-                    self.migrations.insert((wl.name(), s.name()), r);
-                    false
-                }
-                None => true,
-            }
-        });
-        if let Some(store) = &self.store {
-            missing.retain(|(wl, s)| {
-                let key = run_key(&self.cfg, RunKind::Migration, wl.name(), s.name());
-                match store.load_run(&key) {
-                    Some(r) => {
-                        self.migrations.insert((wl.name(), s.name()), r);
-                        false
-                    }
-                    None => true,
-                }
-            });
+    fn execute(&mut self, points: &[Point], opts: &TaskOptions) {
+        let report = BatchExec {
+            threads: self.threads,
+            store: self.store.as_ref(),
+            metrics: &self.metrics,
+            opts,
+            profile_cfg: Some(&self.cfg),
         }
-        if missing.is_empty() {
-            return;
-        }
-        let need_profiles = dedupe_workloads(missing.iter().map(|(wl, _)| *wl));
-        self.prewarm_profiles(&need_profiles);
-        missing.retain(|(wl, s)| {
-            let ok = self.profiles.contains_key(wl.name());
-            if !ok {
-                self.failures.push(format!(
-                    "migration {} {}: skipped (profile unavailable)",
-                    s.name(),
-                    wl.name()
-                ));
-            }
-            ok
-        });
-        if missing.is_empty() {
-            return;
-        }
-        let timer = StageTimer::new(format!(
-            "migration x{} (threads={})",
-            missing.len(),
-            self.threads
-        ));
-        let cfg = &self.cfg;
-        let store = self.store.as_ref();
-        let profiles = &self.profiles;
-        let labels: Vec<String> = missing
-            .iter()
-            .map(|(wl, s)| format!("{} {}", s.name(), wl.name()))
-            .collect();
-        let results = try_parallel_map_metrics(
-            self.threads,
-            missing,
-            &self.metrics,
-            None,
-            &TaskOptions::from_env(),
-            |_, (wl, scheme)| {
-                eprintln!("  [migration {}] {}", scheme.name(), wl.name());
-                let key = run_key(cfg, RunKind::Migration, wl.name(), scheme.name());
-                let label = format!("{}/{}", wl.name(), scheme.name());
-                let (r, _) = run_with_recovery(
-                    || build_migration_sim(cfg, wl, *scheme, &profiles[wl.name()].table),
-                    &key,
-                    &label,
-                    store,
-                    None,
-                );
-                ((wl.name(), scheme.name()), r)
-            },
-        );
-        for result in results {
-            match result {
-                Ok((key, r)) => {
-                    let skey = run_key(&self.cfg, RunKind::Migration, key.0, key.1);
-                    memo_put(&skey, &r);
-                    if let Some(store) = &self.store {
-                        store.store_run(&skey, &r);
-                    }
-                    self.migrations.insert(key, r);
-                }
-                Err(e) => self
-                    .failures
-                    .push(format!("migration {}: {e}", labels[e.task()])),
+        .run(points, &mut self.runs);
+        for ((_, spec), outcome) in points.iter().zip(report.outcomes) {
+            if let PointOutcome::Failed(e) = outcome {
+                let wl = spec.workload.name();
+                self.failures.push(format!("{} {wl}: {e}", spec.tag()));
             }
         }
-        timer.finish();
     }
 
-    /// Fills the annotation-run cache for `wls` in parallel (missing
-    /// entries only; store hits resolved first, profiles prewarmed only
-    /// for workloads that need simulating).
-    pub fn prewarm_annotated(&mut self, wls: &[Workload]) {
-        let mut missing: Vec<Workload> = wls
-            .iter()
-            .filter(|wl| !self.annotated.contains_key(wl.name()))
-            .copied()
-            .collect();
-        if let Some(store) = &self.store {
-            missing.retain(|wl| {
-                let key = run_key(&self.cfg, RunKind::Annotated, wl.name(), ANNOTATED_POLICY);
-                match store.load_annotated(&key) {
-                    Some(pair) => {
-                        self.annotated.insert(wl.name(), pair);
-                        false
-                    }
-                    None => true,
-                }
-            });
+    /// The run of `spec` under `cfg`. A run no prewarm resolved — not
+    /// listed, or failed there — runs on the spot with neither retries
+    /// nor injected task faults, so a chaos run still reaches the
+    /// simulator's own fault sites (`sim.checkpoint`).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the failure if the run fails.
+    pub fn run(&mut self, cfg: &SystemConfig, spec: RunSpec) -> RunOutput {
+        let key = spec.key(cfg);
+        if !self.runs.contains_key(&key) {
+            self.execute(&[(cfg.clone(), spec)], &TaskOptions::none());
         }
-        if missing.is_empty() {
-            return;
+        match self.runs.get(&key) {
+            Some(out) => out.clone(),
+            None => panic!(
+                "{}",
+                self.failures
+                    .last()
+                    .expect("a run missing after execution failed")
+            ),
         }
-        self.prewarm_profiles(&missing);
-        missing.retain(|wl| {
-            let ok = self.profiles.contains_key(wl.name());
-            if !ok {
-                self.failures.push(format!(
-                    "annotated {}: skipped (profile unavailable)",
-                    wl.name()
-                ));
-            }
-            ok
-        });
-        if missing.is_empty() {
-            return;
-        }
-        let timer = StageTimer::new(format!(
-            "annotated x{} (threads={})",
-            missing.len(),
-            self.threads
-        ));
-        let cfg = &self.cfg;
-        let store = self.store.as_ref();
-        let profiles = &self.profiles;
-        let names: Vec<&'static str> = missing.iter().map(|wl| wl.name()).collect();
-        let results = try_parallel_map_metrics(
-            self.threads,
-            missing,
-            &self.metrics,
-            None,
-            &TaskOptions::from_env(),
-            |_, wl| {
-                eprintln!("  [annotated] {}", wl.name());
-                let key = run_key(cfg, RunKind::Annotated, wl.name(), ANNOTATED_POLICY);
-                let label = format!("{}/{ANNOTATED_POLICY}", wl.name());
-                let table = &profiles[wl.name()].table;
-                let set = build_annotated_sim(cfg, wl, table).1;
-                let (r, _) = run_with_recovery(
-                    || build_annotated_sim(cfg, wl, table).0,
-                    &key,
-                    &label,
-                    store,
-                    None,
-                );
-                (wl.name(), (r, set))
-            },
-        );
-        for result in results {
-            match result {
-                Ok((name, (r, set))) => {
-                    if let Some(store) = &self.store {
-                        let key = run_key(&self.cfg, RunKind::Annotated, name, ANNOTATED_POLICY);
-                        store.store_annotated(&key, &r, &set);
-                    }
-                    self.annotated.insert(name, (r, set));
-                }
-                Err(e) => self
-                    .failures
-                    .push(format!("annotated {}: {e}", names[e.task()])),
-            }
-        }
-        timer.finish();
     }
 
-    /// The annotation run (Section 7) for `workload`, cached.
-    pub fn annotated_run(&mut self, wl: &Workload) -> (RunResult, AnnotationSet) {
-        if !self.annotated.contains_key(wl.name()) {
-            self.prewarm_annotated(std::slice::from_ref(wl));
-        }
-        self.annotated[wl.name()].clone()
+    /// [`Harness::run`] at the experiment config, listed in the telemetry
+    /// document as `{kind}/{workload}[/{policy}]`.
+    fn read(&mut self, spec: RunSpec) -> RunOutput {
+        let cfg = self.cfg.clone();
+        let out = self.run(&cfg, spec);
+        let (kind, wl) = (spec.kind().label(), spec.workload.name());
+        let label = match spec.action {
+            RunAction::Static(_) | RunAction::Migration(_) => {
+                format!("{kind}/{wl}/{}", spec.policy_label())
+            }
+            RunAction::Profile | RunAction::Annotated => format!("{kind}/{wl}"),
+        };
+        self.read.insert(label, spec.key(&cfg));
+        out
     }
 
     /// The DDR-only profiling run for `workload`.
-    pub fn profile(&mut self, wl: &Workload) -> RunResult {
-        if !self.profiles.contains_key(wl.name()) {
-            let store_key = run_key(&self.cfg, RunKind::Profile, wl.name(), PROFILE_POLICY);
-            let cached = memo_get(&store_key)
-                .or_else(|| self.store.as_ref().and_then(|s| s.load_run(&store_key)));
-            let r = match cached {
-                Some(r) => r,
-                None => {
-                    eprintln!("  [profile] {}", wl.name());
-                    let label = format!("{}/{PROFILE_POLICY}", wl.name());
-                    let (r, _) = run_with_recovery(
-                        || build_profile_sim(&self.cfg, wl),
-                        &store_key,
-                        &label,
-                        self.store.as_ref(),
-                        None,
-                    );
-                    memo_put(&store_key, &r);
-                    if let Some(store) = &self.store {
-                        store.store_run(&store_key, &r);
-                    }
-                    r
-                }
-            };
-            self.profiles.insert(wl.name(), r);
-        }
-        self.profiles[wl.name()].clone()
+    pub fn profile(&mut self, wl: &Workload) -> Arc<RunResult> {
+        self.read(RunSpec::profile(*wl)).run
     }
 
     /// A static-placement run under `policy`.
-    pub fn static_run(&mut self, wl: &Workload, policy: PlacementPolicy) -> RunResult {
-        let key = (wl.name(), policy.name());
-        if !self.statics.contains_key(&key) {
-            let store_key = run_key(&self.cfg, RunKind::Static, wl.name(), &policy.name());
-            let cached = memo_get(&store_key)
-                .or_else(|| self.store.as_ref().and_then(|s| s.load_run(&store_key)));
-            let r = match cached {
-                Some(r) => r,
-                None => {
-                    let profile = self.profile(wl);
-                    eprintln!("  [static {}] {}", policy.name(), wl.name());
-                    let label = format!("{}/{}", wl.name(), policy.name());
-                    let (r, _) = run_with_recovery(
-                        || build_static_sim(&self.cfg, wl, policy, &profile.table),
-                        &store_key,
-                        &label,
-                        self.store.as_ref(),
-                        None,
-                    );
-                    memo_put(&store_key, &r);
-                    if let Some(store) = &self.store {
-                        store.store_run(&store_key, &r);
-                    }
-                    r
-                }
-            };
-            self.statics.insert(key.clone(), r);
-        }
-        self.statics[&key].clone()
+    pub fn static_run(&mut self, wl: &Workload, policy: PlacementPolicy) -> Arc<RunResult> {
+        self.read(RunSpec {
+            workload: *wl,
+            action: RunAction::Static(policy),
+        })
+        .run
     }
 
     /// A dynamic-migration run under `scheme`.
-    pub fn migration_run(&mut self, wl: &Workload, scheme: MigrationScheme) -> RunResult {
-        let key = (wl.name(), scheme.name());
-        if !self.migrations.contains_key(&key) {
-            let store_key = run_key(&self.cfg, RunKind::Migration, wl.name(), scheme.name());
-            let cached = memo_get(&store_key)
-                .or_else(|| self.store.as_ref().and_then(|s| s.load_run(&store_key)));
-            let r = match cached {
-                Some(r) => r,
-                None => {
-                    let profile = self.profile(wl);
-                    eprintln!("  [migration {}] {}", scheme.name(), wl.name());
-                    let label = format!("{}/{}", wl.name(), scheme.name());
-                    let (r, _) = run_with_recovery(
-                        || build_migration_sim(&self.cfg, wl, scheme, &profile.table),
-                        &store_key,
-                        &label,
-                        self.store.as_ref(),
-                        None,
-                    );
-                    memo_put(&store_key, &r);
-                    if let Some(store) = &self.store {
-                        store.store_run(&store_key, &r);
-                    }
-                    r
-                }
-            };
-            self.migrations.insert(key, r);
-        }
-        self.migrations[&key].clone()
+    pub fn migration_run(&mut self, wl: &Workload, scheme: MigrationScheme) -> Arc<RunResult> {
+        self.read(RunSpec {
+            workload: *wl,
+            action: RunAction::Migration(scheme),
+        })
+        .run
     }
 
-    /// Every cached run's telemetry snapshot, labelled
-    /// `profile/{wl}`, `static/{wl}/{policy}`, `migration/{wl}/{scheme}`
-    /// or `annotated/{wl}` and sorted by label (deterministic).
+    /// The annotation run (Section 7) for `workload` and its annotations.
+    pub fn annotated_run(&mut self, wl: &Workload) -> (Arc<RunResult>, Arc<AnnotationSet>) {
+        let out = self.read(RunSpec {
+            workload: *wl,
+            action: RunAction::Annotated,
+        });
+        let set = out.annotations.expect("annotated runs carry their set");
+        (out.run, set)
+    }
+
+    /// The telemetry snapshot of every run read through a typed accessor,
+    /// labelled `profile/{wl}`, `static/{wl}/{policy}`,
+    /// `migration/{wl}/{scheme}` or `annotated/{wl}` and sorted by label
+    /// (deterministic). Runs only prewarmed, or run under another config,
+    /// are not listed.
     pub fn telemetry_runs(&self) -> Vec<(String, Snapshot)> {
-        let mut runs: Vec<(String, Snapshot)> = Vec::new();
-        for (name, r) in &self.profiles {
-            runs.push((format!("profile/{name}"), r.telemetry.clone()));
-        }
-        for ((wl, policy), r) in &self.statics {
-            runs.push((format!("static/{wl}/{policy}"), r.telemetry.clone()));
-        }
-        for ((wl, scheme), r) in &self.migrations {
-            runs.push((format!("migration/{wl}/{scheme}"), r.telemetry.clone()));
-        }
-        for (name, (r, _)) in &self.annotated {
-            runs.push((format!("annotated/{name}"), r.telemetry.clone()));
-        }
-        runs.sort_by(|a, b| a.0.cmp(&b.0));
-        runs
+        self.read
+            .iter()
+            .map(|(label, key)| (label.clone(), self.runs[key].run.telemetry.clone()))
+            .collect()
     }
 
     /// Workloads ordered by decreasing MPKI (how Figures 7/8 order their
@@ -712,10 +295,40 @@ impl Default for Harness {
     }
 }
 
-/// Deduplicates workloads by name, preserving first-seen order.
-fn dedupe_workloads(wls: impl Iterator<Item = Workload>) -> Vec<Workload> {
-    let mut seen = std::collections::HashSet::new();
-    wls.filter(|wl| seen.insert(wl.name())).collect()
+/// Figure 13's FC-interval sweep as table rows: each workload's IPC under
+/// performance-focused FC migration at each interval. The interval
+/// configs are ordinary points, so a warm store serves them like every
+/// other run.
+pub fn fc_interval_rows(h: &mut Harness, wls: &[Workload], intervals: &[u64]) -> Vec<Vec<String>> {
+    // Every interval places pages from the experiment config's profile:
+    // read it like any figure input, so the telemetry lists it.
+    for wl in wls {
+        h.profile(wl);
+    }
+    let points: Vec<Point> = wls
+        .iter()
+        .flat_map(|&workload| {
+            let base = &h.cfg;
+            intervals.iter().map(move |&iv| {
+                let cfg = SystemConfig {
+                    fc_interval_cycles: iv,
+                    ..base.clone()
+                };
+                let action = RunAction::Migration(MigrationScheme::PerfFc);
+                (cfg, RunSpec { workload, action })
+            })
+        })
+        .collect();
+    h.prewarm(&points);
+    wls.iter()
+        .zip(points.chunks(intervals.len()))
+        .map(|(wl, row)| {
+            let ipcs = row
+                .iter()
+                .map(|(cfg, spec)| format!("{:.3}", h.run(cfg, *spec).run.ipc));
+            std::iter::once(wl.name().to_string()).chain(ipcs).collect()
+        })
+        .collect()
 }
 
 /// The shared epilogue of every experiment binary: dumps the cached

@@ -1,16 +1,20 @@
 //! Warm-start contract of the harness + run store: a second harness
 //! pointed at the same store directory must serve every run from disk —
 //! zero simulations, bit-identical results — and a config change must
-//! miss rather than serve a stale entry.
+//! miss rather than serve a stale entry. Figure 13's per-interval configs
+//! follow the same contract, and the harness's run cache simulates each
+//! distinct run once even with no store.
 
 use std::sync::atomic::Ordering;
 
-use ramp_bench::Harness;
+use ramp_bench::{fc_interval_rows, Harness};
 use ramp_core::config::SystemConfig;
 use ramp_core::migration::MigrationScheme;
 use ramp_core::placement::PlacementPolicy;
+use ramp_serve::spec::{RunAction, RunSpec};
 use ramp_serve::store::RunStore;
-use ramp_trace::{Benchmark, Workload};
+use ramp_sim::telemetry::render_runs_json;
+use ramp_trace::{Benchmark, MixId, Workload};
 
 fn tiny() -> SystemConfig {
     SystemConfig {
@@ -50,7 +54,7 @@ fn warm_harness_performs_zero_simulations() {
 
     // Cold: simulate a profile + static + migration and persist them.
     let mut cold = harness(&dir);
-    cold.prewarm_static(&[wl], &[PlacementPolicy::PerfFocused]);
+    cold.prewarm(&cold.grid(&[wl], &[RunAction::Static(PlacementPolicy::PerfFocused)]));
     let cold_static = cold.static_run(&wl, PlacementPolicy::PerfFocused);
     let cold_mig = cold.migration_run(&wl, MigrationScheme::RelFc);
     let (hits, _, writes) = counters(&cold);
@@ -59,7 +63,7 @@ fn warm_harness_performs_zero_simulations() {
 
     // Warm: a fresh harness over the same directory must not simulate.
     let mut warm = harness(&dir);
-    warm.prewarm_static(&[wl], &[PlacementPolicy::PerfFocused]);
+    warm.prewarm(&warm.grid(&[wl], &[RunAction::Static(PlacementPolicy::PerfFocused)]));
     let warm_static = warm.static_run(&wl, PlacementPolicy::PerfFocused);
     let warm_mig = warm.migration_run(&wl, MigrationScheme::RelFc);
     let warm_profile = warm.profile(&wl);
@@ -88,7 +92,7 @@ fn annotated_runs_round_trip_through_the_store() {
     let (cold_run, cold_set) = cold.annotated_run(&wl);
 
     let mut warm = harness(&dir);
-    warm.prewarm_annotated(&[wl]);
+    warm.prewarm(&warm.grid(&[wl], &[RunAction::Annotated]));
     let (warm_run, warm_set) = warm.annotated_run(&wl);
     let (hits, misses, _) = counters(&warm);
     assert_eq!((hits, misses), (1, 0));
@@ -123,4 +127,105 @@ fn store_disabled_harness_still_works() {
     let wl = Workload::Homogeneous(Benchmark::Lbm);
     let run = h.static_run(&wl, PlacementPolicy::PerfFocused);
     assert!(run.ipc > 0.0);
+}
+
+/// Figure 13's shape: perf-FC migration of a low, a medium and a high
+/// memory-intensity workload at four FC intervals.
+const FIG13_WLS: [Workload; 3] = [
+    Workload::Homogeneous(Benchmark::Astar),
+    Workload::Mix(MixId::Mix1),
+    Workload::Homogeneous(Benchmark::Lbm),
+];
+const FIG13_INTERVALS: [u64; 4] = [100_000, 200_000, 400_000, 1_600_000];
+
+fn tasks(h: &Harness) -> usize {
+    h.metrics.total.load(Ordering::Relaxed)
+}
+
+#[test]
+fn warm_figure13_sweep_performs_zero_simulations() {
+    let dir = scratch("fig13");
+    let mut cold = harness(&dir);
+    let cold_rows = fc_interval_rows(&mut cold, &FIG13_WLS, &FIG13_INTERVALS);
+    // Three profiles plus one migration run per (workload, interval).
+    assert_eq!(tasks(&cold), 3 + 12);
+
+    let mut warm = harness(&dir);
+    let warm_rows = fc_interval_rows(&mut warm, &FIG13_WLS, &FIG13_INTERVALS);
+    let (hits, misses, writes) = counters(&warm);
+    assert_eq!((misses, writes), (0, 0), "warm Figure 13 simulated");
+    assert_eq!(hits, 3 + 12, "profiles and interval runs all from disk");
+    assert_eq!(tasks(&warm), 0, "warm Figure 13 ran executor tasks");
+    assert_eq!(warm_rows, cold_rows);
+}
+
+#[test]
+fn store_less_harness_simulates_each_distinct_run_once() {
+    let mut h = Harness::with_store(None);
+    h.cfg = tiny();
+    h.threads = 2;
+    let wl = Workload::Homogeneous(Benchmark::Lbm);
+    let spec = RunSpec {
+        workload: wl,
+        action: RunAction::Migration(MigrationScheme::PerfFc),
+    };
+    // The main config's run, spelled twice, plus one other interval.
+    let same = SystemConfig {
+        fc_interval_cycles: h.cfg.fc_interval_cycles,
+        ..h.cfg.clone()
+    };
+    let other = SystemConfig {
+        fc_interval_cycles: 2 * h.cfg.fc_interval_cycles,
+        ..h.cfg.clone()
+    };
+    let main = h.migration_run(&wl, MigrationScheme::PerfFc);
+    assert_eq!(tasks(&h), 2, "profile + main-config migration run");
+    h.prewarm(&[
+        (same.clone(), spec),
+        (other.clone(), spec),
+        (same.clone(), spec),
+    ]);
+    // Distinct keys: the profile, the main-config run, the other interval.
+    assert_eq!(tasks(&h), 3, "a cached run was simulated again");
+    assert_eq!(h.run(&same, spec).run.telemetry, main.telemetry);
+    h.migration_run(&wl, MigrationScheme::PerfFc);
+    assert_eq!(tasks(&h), 3);
+    assert!(h.run(&other, spec).run.ipc > 0.0);
+}
+
+#[test]
+fn figure13_points_stay_out_of_the_telemetry_document() {
+    let mut h = Harness::with_store(None);
+    h.cfg = tiny();
+    h.threads = 2;
+    let astar = Workload::Homogeneous(Benchmark::Astar);
+    let lbm = Workload::Homogeneous(Benchmark::Lbm);
+    h.profile(&astar);
+    h.migration_run(&astar, MigrationScheme::PerfFc);
+    let before = render_runs_json(&h.telemetry_runs());
+    let labels: Vec<String> = h.telemetry_runs().into_iter().map(|(l, _)| l).collect();
+    assert_eq!(labels, ["migration/astar/perf-fc", "profile/astar"]);
+
+    // Other-config points, and lbm's run at the main config, which no
+    // figure read: none may enter the document.
+    let spec = |workload| RunSpec {
+        workload,
+        action: RunAction::Migration(MigrationScheme::PerfFc),
+    };
+    let points: Vec<_> = [astar, lbm]
+        .into_iter()
+        .flat_map(|wl| {
+            let base = h.cfg.clone();
+            [1, 2].map(|m| {
+                let cfg = SystemConfig {
+                    fc_interval_cycles: m * base.fc_interval_cycles,
+                    ..base.clone()
+                };
+                (cfg, spec(wl))
+            })
+        })
+        .collect();
+    h.prewarm(&points);
+    assert!(h.failures().is_empty());
+    assert_eq!(render_runs_json(&h.telemetry_runs()), before);
 }

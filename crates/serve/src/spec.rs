@@ -1,20 +1,29 @@
 //! Parsed run requests and their store-aware execution.
 //!
 //! A [`RunSpec`] is the validated form of a client request ("run `lbm`
-//! under the `perf-focused` static policy"). [`RunSpec::execute`] is the
-//! single choke point between the serving layer and the simulator: it
-//! consults the [`RunStore`] first, simulates only on a miss, and
-//! persists what it simulated — including the intermediate DDR-only
-//! profile that static/migration/annotated runs depend on, so a later
-//! request for any run of the same workload starts from a warm profile.
+//! under the `perf-focused` static policy"). Two entry points run specs,
+//! both store-first — consult the [`RunStore`], simulate only on a miss,
+//! persist what was simulated, including the intermediate DDR-only
+//! profile that static/migration/annotated runs depend on:
+//!
+//! - [`RunSpec::execute_with_progress`] runs one spec with live progress
+//!   and checkpoint/resume (the server's job path);
+//! - [`BatchExec`] runs a list of `(SystemConfig, RunSpec)` points in
+//!   parallel, simulating each distinct missing profile once and keeping
+//!   the profiles in memory (the experiment harness and the sweep engine).
 
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
+use ramp_avf::StatsTable;
+use ramp_core::annotate::{select_annotations, AnnotationSet};
 use ramp_core::config::SystemConfig;
 use ramp_core::migration::MigrationScheme;
 use ramp_core::placement::PlacementPolicy;
 use ramp_core::runner;
 use ramp_core::system::{RunHooks, RunResult, SystemSim};
+use ramp_sim::exec::{try_parallel_map_metrics, ExecMetrics, StageTimer, TaskOptions};
 use ramp_trace::Workload;
 
 use crate::store::{run_key, RunKind, RunStore};
@@ -239,28 +248,34 @@ impl RunSpec {
         run_key(cfg, self.kind(), self.workload.name(), &self.policy_label())
     }
 
+    /// The DDR-only profiling run of `workload`.
+    pub fn profile(workload: Workload) -> RunSpec {
+        RunSpec {
+            workload,
+            action: RunAction::Profile,
+        }
+    }
+
+    /// The kind plus, for static and migration runs, the policy:
+    /// `profile`, `static perf-focused`, `migration rel-fc`, `annotated`.
+    /// [`BatchExec`] prints `  [{tag}] {workload}` per simulated run.
+    pub fn tag(&self) -> String {
+        match self.action {
+            RunAction::Static(_) | RunAction::Migration(_) => {
+                format!("{} {}", self.kind().label(), self.policy_label())
+            }
+            RunAction::Profile | RunAction::Annotated => self.kind().label().to_string(),
+        }
+    }
+
     /// Executes the spec, serving from `store` when possible and
     /// persisting whatever had to be simulated.
     pub fn execute(&self, cfg: &SystemConfig, store: Option<&RunStore>) -> RunResult {
-        self.execute_tracked(cfg, store).0
+        self.execute_with_progress(cfg, store, None).run
     }
 
-    /// [`RunSpec::execute`] that also reports persistence: the second
-    /// element is `false` when any store write of this execution (the
-    /// run itself or an intermediate profile) failed, i.e. the result is
-    /// correct but served from memory only — the caller can degrade
-    /// gracefully instead of erroring.
-    pub fn execute_tracked(
-        &self,
-        cfg: &SystemConfig,
-        store: Option<&RunStore>,
-    ) -> (RunResult, bool) {
-        let outcome = self.execute_with_progress(cfg, store, None);
-        (outcome.run, outcome.persisted)
-    }
-
-    /// [`RunSpec::execute_tracked`] with live progress reporting and
-    /// epoch-granular checkpoint/resume.
+    /// [`RunSpec::execute`] with live progress reporting, epoch-granular
+    /// checkpoint/resume and persistence tracking.
     ///
     /// When `RAMP_CKPT_EPOCHS` is set (and a store is attached), every
     /// simulated phase checkpoints its full state every K epochs and —
@@ -280,98 +295,299 @@ impl RunSpec {
                 .store(cfg.epochs_estimate(), Ordering::Relaxed);
         }
         let key = self.key(cfg);
-        let label = format!("{}/{}", self.workload.name(), self.policy_label());
-        if let Some(s) = store {
-            if self.kind() == RunKind::Annotated {
-                if let Some((run, _)) = s.load_annotated(&key) {
-                    return ExecOutcome {
-                        run,
-                        persisted: true,
-                        resumed: false,
-                    };
-                }
-            } else if let Some(run) = s.load_run(&key) {
-                return ExecOutcome {
-                    run,
-                    persisted: true,
-                    resumed: false,
-                };
-            }
-        }
-        let wl = self.workload;
-        if let RunAction::Profile = self.action {
-            let (run, resumed) = run_with_recovery(
-                || runner::build_profile_sim(cfg, &wl),
-                &key,
-                &label,
-                store,
-                progress,
-            );
-            let persisted = match store {
-                Some(s) => s.store_run(&key, &run),
-                None => true,
-            };
+        if let Some((run, _)) = store.and_then(|s| self.load(s, &key)) {
             return ExecOutcome {
                 run,
-                persisted,
-                resumed,
+                persisted: true,
+                resumed: false,
             };
         }
-        let profile_outcome = RunSpec {
-            workload: self.workload,
-            action: RunAction::Profile,
-        }
-        .execute_with_progress(cfg, store, None);
-        let mut persisted = profile_outcome.persisted;
-        let profile = profile_outcome.run;
-        let (run, resumed) = match self.action {
-            RunAction::Static(policy) => {
-                let (run, resumed) = run_with_recovery(
-                    || runner::build_static_sim(cfg, &wl, policy, &profile.table),
-                    &key,
-                    &label,
-                    store,
-                    progress,
-                );
-                if let Some(s) = store {
-                    persisted &= s.store_run(&key, &run);
-                }
-                (run, resumed)
-            }
-            RunAction::Migration(scheme) => {
-                let (run, resumed) = run_with_recovery(
-                    || runner::build_migration_sim(cfg, &wl, scheme, &profile.table),
-                    &key,
-                    &label,
-                    store,
-                    progress,
-                );
-                if let Some(s) = store {
-                    persisted &= s.store_run(&key, &run);
-                }
-                (run, resumed)
-            }
-            RunAction::Annotated => {
-                let set = runner::build_annotated_sim(cfg, &wl, &profile.table).1;
-                let (run, resumed) = run_with_recovery(
-                    || runner::build_annotated_sim(cfg, &wl, &profile.table).0,
-                    &key,
-                    &label,
-                    store,
-                    progress,
-                );
-                if let Some(s) = store {
-                    persisted &= s.store_annotated(&key, &run, &set);
-                }
-                (run, resumed)
-            }
-            RunAction::Profile => unreachable!("handled above"),
-        };
+        let profile = (self.action != RunAction::Profile)
+            .then(|| RunSpec::profile(self.workload).execute_with_progress(cfg, store, None));
+        let ((run, _), persisted, resumed) = self.simulate(
+            cfg,
+            &key,
+            profile.as_ref().map(|p| &p.run.table),
+            store,
+            progress,
+        );
         ExecOutcome {
             run,
-            persisted,
-            resumed: profile_outcome.resumed || resumed,
+            persisted: persisted && profile.as_ref().is_none_or(|p| p.persisted),
+            resumed: resumed || profile.as_ref().is_some_and(|p| p.resumed),
         }
+    }
+
+    /// This spec's entry in `store` under `key`, with its annotation set
+    /// for annotated runs.
+    fn load(&self, store: &RunStore, key: &str) -> Option<(RunResult, Option<AnnotationSet>)> {
+        match self.action {
+            RunAction::Annotated => store.load_annotated(key).map(|(run, set)| (run, Some(set))),
+            _ => store.load_run(key).map(|run| (run, None)),
+        }
+    }
+
+    /// Simulates this spec under `cfg`, placing pages from `profile`
+    /// (every kind but a profile needs one), checkpointing through
+    /// `store`, then persists the result. Returns the run (with its
+    /// annotation set for annotated runs), whether the write succeeded
+    /// and whether the run resumed from a checkpoint.
+    fn simulate(
+        &self,
+        cfg: &SystemConfig,
+        key: &str,
+        profile: Option<&StatsTable>,
+        store: Option<&RunStore>,
+        progress: Option<&RunProgress>,
+    ) -> ((RunResult, Option<AnnotationSet>), bool, bool) {
+        let wl = self.workload;
+        let table = || profile.expect("placed runs need a DDR-only profile");
+        let label = format!("{}/{}", wl.name(), self.policy_label());
+        let (run, resumed) = run_with_recovery(
+            || match self.action {
+                RunAction::Profile => runner::build_profile_sim(cfg, &wl),
+                RunAction::Static(p) => runner::build_static_sim(cfg, &wl, p, table()),
+                RunAction::Migration(s) => runner::build_migration_sim(cfg, &wl, s, table()),
+                RunAction::Annotated => runner::build_annotated_sim(cfg, &wl, table()).0,
+            },
+            key,
+            &label,
+            store,
+            progress,
+        );
+        let set = (self.action == RunAction::Annotated)
+            .then(|| select_annotations(&wl, table(), cfg.hbm_capacity_pages as usize, cfg.seed));
+        let persisted = store.is_none_or(|s| match &set {
+            Some(set) => s.store_annotated(key, &run, set),
+            None => s.store_run(key, &run),
+        });
+        ((run, set), persisted, resumed)
+    }
+}
+
+/// One point of a batch: a run request and the config it runs under.
+pub type Point = (SystemConfig, RunSpec);
+
+/// A finished run, shared between a batch's run cache and its callers.
+#[derive(Clone, Debug)]
+pub struct RunOutput {
+    /// The simulation result.
+    pub run: Arc<RunResult>,
+    /// The annotation set an annotated run placed by (`None` otherwise).
+    pub annotations: Option<Arc<AnnotationSet>>,
+}
+
+impl RunOutput {
+    fn new((run, set): (RunResult, Option<AnnotationSet>)) -> RunOutput {
+        RunOutput {
+            run: Arc::new(run),
+            annotations: set.map(Arc::new),
+        }
+    }
+}
+
+/// How [`BatchExec::run`] settled one point.
+#[derive(Debug)]
+pub enum PointOutcome {
+    /// Served from the in-memory run cache or the run store.
+    Cached(RunOutput),
+    /// Simulated by this batch (and persisted when a store is attached).
+    Simulated(RunOutput),
+    /// Panicked past the retry budget, or skipped because its DDR-only
+    /// profile did; the message says which, and why.
+    Failed(String),
+}
+
+/// What one [`BatchExec::run`] did.
+#[derive(Debug)]
+pub struct BatchReport {
+    /// One outcome per input point, in input order.
+    pub outcomes: Vec<PointOutcome>,
+    /// DDR-only profiles simulated only as dependencies of other points.
+    pub profile_sims: u64,
+}
+
+/// The store-first batch executor: the one path by which the experiment
+/// harness and the sweep engine turn lists of points into runs.
+///
+/// [`BatchExec::run`] serves every hit first, simulates the distinct
+/// missing DDR-only profiles once, then runs the remaining points from
+/// those in-memory profile tables and persists each result. Runs execute
+/// in parallel, one stage per kind in the order profile → static →
+/// migration → annotated; each stage prints a `{kind} x{n}
+/// (threads={t})` [`StageTimer`] line and one `  [{tag}] {workload}`
+/// line per simulated run on stderr. Outcomes come back in input order,
+/// so callers format deterministic output at any thread count.
+#[derive(Debug)]
+pub struct BatchExec<'a> {
+    /// Worker threads.
+    pub threads: usize,
+    /// Persistent run store consulted first and written after each run.
+    pub store: Option<&'a RunStore>,
+    /// Executor counters, accumulated across batches.
+    pub metrics: &'a ExecMetrics,
+    /// Retry budget and fault injection for every run task.
+    pub opts: &'a TaskOptions,
+    /// Config of the DDR-only profile every point places pages from;
+    /// `None` profiles each point under its own config.
+    pub profile_cfg: Option<&'a SystemConfig>,
+}
+
+/// One simulation of a batch stage.
+struct Task<'p> {
+    key: String,
+    cfg: &'p SystemConfig,
+    spec: RunSpec,
+    profile: Option<Arc<RunResult>>,
+}
+
+impl BatchExec<'_> {
+    /// Settles `points`. `runs` is the in-memory run cache by run key: a
+    /// point or profile found there is neither loaded nor simulated, and
+    /// every run the batch loads or simulates (profile dependencies
+    /// included) is added to it. Each distinct key is looked up and
+    /// simulated at most once, however often it appears.
+    pub fn run(&self, points: &[Point], runs: &mut HashMap<String, RunOutput>) -> BatchReport {
+        let keys: Vec<String> = points.iter().map(|(cfg, spec)| spec.key(cfg)).collect();
+        // Hits first; `missing` keeps the first point of each missing key.
+        let mut missing: Vec<usize> = Vec::new();
+        let mut missing_keys: HashSet<&str> = HashSet::new();
+        for (i, (_, spec)) in points.iter().enumerate() {
+            let key = keys[i].as_str();
+            if runs.contains_key(key) || missing_keys.contains(key) {
+                continue;
+            }
+            match self.store.and_then(|s| spec.load(s, key)) {
+                Some(hit) => {
+                    runs.insert(key.to_string(), RunOutput::new(hit));
+                }
+                None => {
+                    missing_keys.insert(key);
+                    missing.push(i);
+                }
+            }
+        }
+
+        // The distinct profiles the missing points need: missing profile
+        // points themselves, then dependencies neither cached nor stored.
+        let mut profile_tasks = Vec::new();
+        let mut dep_sims: Vec<String> = Vec::new();
+        let mut deps: HashMap<usize, String> = HashMap::new();
+        for &i in &missing {
+            let (cfg, spec) = &points[i];
+            if spec.action == RunAction::Profile {
+                profile_tasks.push(Task {
+                    key: keys[i].clone(),
+                    cfg,
+                    spec: *spec,
+                    profile: None,
+                });
+                continue;
+            }
+            let pcfg = self.profile_cfg.unwrap_or(cfg);
+            let pspec = RunSpec::profile(spec.workload);
+            let pkey = pspec.key(pcfg);
+            let known = runs.contains_key(&pkey)
+                || missing_keys.contains(pkey.as_str())
+                || dep_sims.contains(&pkey);
+            if !known {
+                match self.store.and_then(|s| pspec.load(s, &pkey)) {
+                    Some(hit) => {
+                        runs.insert(pkey.clone(), RunOutput::new(hit));
+                    }
+                    None => {
+                        dep_sims.push(pkey.clone());
+                        profile_tasks.push(Task {
+                            key: pkey.clone(),
+                            cfg: pcfg,
+                            spec: pspec,
+                            profile: None,
+                        });
+                    }
+                }
+            }
+            deps.insert(i, pkey);
+        }
+        let mut errors: HashMap<String, String> = HashMap::new();
+        self.stage(RunKind::Profile, profile_tasks, runs, &mut errors);
+
+        for kind in [RunKind::Static, RunKind::Migration, RunKind::Annotated] {
+            let mut tasks = Vec::new();
+            for &i in missing.iter().filter(|&&i| points[i].1.kind() == kind) {
+                match runs.get(&deps[&i]) {
+                    Some(profile) => tasks.push(Task {
+                        key: keys[i].clone(),
+                        cfg: &points[i].0,
+                        spec: points[i].1,
+                        profile: Some(Arc::clone(&profile.run)),
+                    }),
+                    None => {
+                        let why = format!("skipped (profile unavailable: {})", errors[&deps[&i]]);
+                        errors.insert(keys[i].clone(), why);
+                    }
+                }
+            }
+            self.stage(kind, tasks, runs, &mut errors);
+        }
+
+        let outcomes = keys
+            .iter()
+            .map(|key| match runs.get(key) {
+                None => PointOutcome::Failed(errors[key].clone()),
+                Some(out) if missing_keys.contains(key.as_str()) => {
+                    PointOutcome::Simulated(out.clone())
+                }
+                Some(out) => PointOutcome::Cached(out.clone()),
+            })
+            .collect();
+        BatchReport {
+            outcomes,
+            profile_sims: dep_sims.iter().filter(|k| runs.contains_key(*k)).count() as u64,
+        }
+    }
+
+    /// Simulates one stage's tasks in parallel, adding each result to
+    /// `runs` and each failure to `errors`.
+    fn stage(
+        &self,
+        kind: RunKind,
+        tasks: Vec<Task<'_>>,
+        runs: &mut HashMap<String, RunOutput>,
+        errors: &mut HashMap<String, String>,
+    ) {
+        if tasks.is_empty() {
+            return;
+        }
+        let timer = StageTimer::new(format!(
+            "{} x{} (threads={})",
+            kind.label(),
+            tasks.len(),
+            self.threads
+        ));
+        let keys: Vec<String> = tasks.iter().map(|t| t.key.clone()).collect();
+        let results = try_parallel_map_metrics(
+            self.threads,
+            tasks,
+            self.metrics,
+            None,
+            self.opts,
+            |_, t| {
+                eprintln!("  [{}] {}", t.spec.tag(), t.spec.workload.name());
+                let profile = t.profile.as_ref().map(|p| &p.table);
+                t.spec.simulate(t.cfg, &t.key, profile, self.store, None).0
+            },
+        );
+        for (key, result) in keys.into_iter().zip(results) {
+            match result {
+                Ok(done) => {
+                    runs.insert(key, RunOutput::new(done));
+                }
+                Err(e) => {
+                    errors.insert(key, e.to_string());
+                }
+            }
+        }
+        timer.finish();
     }
 }
 

@@ -1,34 +1,33 @@
 //! Sweep execution: local (parallel, store-deduped) and remote
 //! (fanned out through a running `ramp-served`).
 //!
-//! Every point executes through [`RunSpec::execute`] — the same choke
-//! point the bench harness and the server use — so each point is keyed
+//! Every batch of points executes through [`BatchExec`] — the same
+//! store-first executor the bench harness uses — so each point is keyed
 //! into the content-addressed run store and a repeated or overlapping
-//! sweep re-simulates nothing. A killed sweep resumes the same way:
-//! completed points are already persisted, so re-running the sweep
-//! re-executes only the missing ones and the final artifact bytes are
-//! identical to an uninterrupted run.
+//! sweep re-simulates nothing. Each distinct (workload, config) DDR-only
+//! profile is simulated once per batch, with or without a store. A killed
+//! sweep resumes the same way: completed points are already persisted, so
+//! re-running the sweep re-executes only the missing ones and the final
+//! artifact bytes are identical to an uninterrupted run.
 //!
-//! Chaos site `sweep.point` fires per point task (injected delays and
-//! panics, under the executor's retry budget); results are collected in
+//! Chaos site `exec.task` fires per run task (injected delays and panics,
+//! under the chaos retry budget); results are collected in
 //! point-enumeration order, so output is byte-identical at any thread
 //! count.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ramp_core::system::RunResult;
 use ramp_serve::client::Client;
-use ramp_serve::spec::{RunAction, RunSpec};
-use ramp_serve::store::{RunKind, RunStore};
+use ramp_serve::spec::{BatchExec, Point, PointOutcome, RunAction};
+use ramp_serve::store::RunStore;
 use ramp_sim::chaos::{self, Chaos};
-use ramp_sim::exec::{try_parallel_map, TaskOptions};
+use ramp_sim::exec::{ExecMetrics, TaskOptions};
 
 use crate::pareto::{self, Objective};
 use crate::spec::{Strategy, SweepPoint, SweepSpec};
-
-/// Chaos site rolled once per executed point task.
-pub const SITE_POINT: &str = "sweep.point";
 
 /// One evaluated sweep point: identity plus the metrics the artifact
 /// records. Everything here is deterministic simulation output.
@@ -152,8 +151,11 @@ pub struct SweepCounters {
     pub cached: u64,
     /// Points that had to be simulated (any rung).
     pub simulated: u64,
-    /// Intermediate DDR-only profiles simulated by the prewarm phase.
+    /// DDR-only profiles simulated only as dependencies of other points.
     pub profile_sims: u64,
+    /// Executor tasks run: one per distinct run simulated, points and
+    /// dependency profiles alike, failed ones included.
+    pub tasks: u64,
 }
 
 /// Per-rung statistics of a successive-halving sweep (deterministic:
@@ -261,9 +263,9 @@ pub fn run_local_with(
     })
 }
 
-/// Executes one batch of points in parallel, serving from the store
-/// where possible; returns rows in point order or the joined failure
-/// messages (completed points stay persisted, so a re-run resumes).
+/// Executes one batch of points through the store-first executor;
+/// returns rows in point order or the joined failure messages (completed
+/// points stay persisted, so a re-run resumes).
 fn execute_points(
     points: &[SweepPoint],
     store: Option<&RunStore>,
@@ -271,73 +273,40 @@ fn execute_points(
     chaos: Option<Arc<Chaos>>,
     counters: &mut SweepCounters,
 ) -> Result<Vec<PointRow>, String> {
-    let mut rows: Vec<Option<PointRow>> = vec![None; points.len()];
-    let mut pending: Vec<(usize, &SweepPoint)> = Vec::new();
-    for (i, point) in points.iter().enumerate() {
-        let key = point.key();
-        let cached = store.and_then(|s| match point.spec.kind() {
-            RunKind::Annotated => s.load_annotated(&key).map(|(run, _)| run),
-            _ => s.load_run(&key),
-        });
-        match cached {
-            Some(run) => {
-                counters.cached += 1;
-                rows[i] = Some(PointRow::from_run(point, key, &run));
-            }
-            None => pending.push((i, point)),
-        }
-    }
-
+    let metrics = ExecMetrics::new();
     let opts = TaskOptions {
         retries: chaos.as_ref().map_or(0, |c| c.retries()),
-        chaos: None, // the sweep rolls its own site below
+        chaos,
     };
-
-    // Prewarm the distinct DDR-only profiles the pending points depend
-    // on, so concurrent points of one workload don't race to simulate
-    // the same profile. Best-effort: a failed prewarm resurfaces (and
-    // retries) when the dependent point executes.
-    if store.is_some() {
-        let mut profiles: Vec<SweepPoint> = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for (_, point) in &pending {
-            if point.spec.action == RunAction::Profile {
+    let batch: Vec<Point> = points.iter().map(|p| (p.cfg.clone(), p.spec)).collect();
+    let report = BatchExec {
+        threads,
+        store,
+        metrics: &metrics,
+        opts: &opts,
+        profile_cfg: None,
+    }
+    .run(&batch, &mut HashMap::new());
+    counters.profile_sims += report.profile_sims;
+    counters.tasks += metrics.total.load(Ordering::Relaxed) as u64;
+    let mut rows = Vec::with_capacity(points.len());
+    let mut failures = Vec::new();
+    for (point, outcome) in points.iter().zip(report.outcomes) {
+        let out = match outcome {
+            PointOutcome::Cached(out) => {
+                counters.cached += 1;
+                out
+            }
+            PointOutcome::Simulated(out) => {
+                counters.simulated += 1;
+                out
+            }
+            PointOutcome::Failed(e) => {
+                failures.push(format!("{}: {e}", point.label()));
                 continue;
             }
-            let profile = SweepPoint {
-                cfg: point.cfg.clone(),
-                spec: RunSpec {
-                    workload: point.spec.workload,
-                    action: RunAction::Profile,
-                },
-                knobs: Vec::new(),
-            };
-            let key = profile.key();
-            if seen.insert(key.clone()) && store.is_some_and(|s| s.load_run(&key).is_none()) {
-                profiles.push(profile);
-            }
-        }
-        let warmed = try_parallel_map(threads, profiles, &opts, |_, p| {
-            roll_point_site(&chaos);
-            p.spec.execute(&p.cfg, store);
-        });
-        counters.profile_sims += warmed.iter().filter(|r| r.is_ok()).count() as u64;
-    }
-
-    let outcomes = try_parallel_map(threads, pending.clone(), &opts, |_, (_, point)| {
-        roll_point_site(&chaos);
-        let run = point.spec.execute(&point.cfg, store);
-        PointRow::from_run(point, point.key(), &run)
-    });
-    let mut failures = Vec::new();
-    for ((i, point), outcome) in pending.iter().zip(outcomes) {
-        match outcome {
-            Ok(row) => {
-                counters.simulated += 1;
-                rows[*i] = Some(row);
-            }
-            Err(e) => failures.push(format!("{}: {e}", point.label())),
-        }
+        };
+        rows.push(PointRow::from_run(point, point.key(), &out.run));
     }
     if !failures.is_empty() {
         return Err(format!(
@@ -348,17 +317,7 @@ fn execute_points(
             failures.join("; ")
         ));
     }
-    Ok(rows
-        .into_iter()
-        .map(|r| r.expect("all points filled"))
-        .collect())
-}
-
-fn roll_point_site(chaos: &Option<Arc<Chaos>>) {
-    if let Some(c) = chaos {
-        c.maybe_slow(SITE_POINT);
-        c.maybe_panic(SITE_POINT);
-    }
+    Ok(rows)
 }
 
 /// Fans the sweep out to a running `ramp-served` through the batch
@@ -488,7 +447,6 @@ pub fn summary_line(run: &SweepRun, store: Option<&RunStore>) -> String {
         c.profile_sims,
     );
     if let Some(s) = store {
-        use std::sync::atomic::Ordering;
         let m = s.metrics();
         line.push_str(&format!(
             " store_hits={} store_misses={} store_writes={}",

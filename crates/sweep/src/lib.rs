@@ -9,9 +9,9 @@
 //!    knobs, expanded into a canonical cartesian grid, a seeded random
 //!    subsample, or an adaptive successive-halving schedule.
 //! 2. **[`engine`]** — executes the points through
-//!    [`ramp_serve::spec::RunSpec::execute`], the same store-first choke
-//!    point the bench harness and the server use, on the
-//!    `ramp_sim::exec` work-stealing executor. Every point is keyed into
+//!    [`ramp_serve::spec::BatchExec`], the same store-first batch
+//!    executor the bench harness uses, on the `ramp_sim::exec`
+//!    work-stealing executor. Every point is keyed into
 //!    the content-addressed run store, so a repeated or overlapping
 //!    sweep re-simulates nothing and a chaos-killed sweep resumes by
 //!    re-running only the missing points. Remote mode fans the same

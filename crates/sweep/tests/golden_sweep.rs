@@ -40,8 +40,8 @@ fn golden_file() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH)
 }
 
-fn scratch_store() -> (PathBuf, RunStore) {
-    let dir = std::env::temp_dir().join(format!("ramp-sweep-golden-{}", std::process::id()));
+fn scratch_store(tag: &str) -> (PathBuf, RunStore) {
+    let dir = std::env::temp_dir().join(format!("ramp-sweep-golden-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     (dir.clone(), RunStore::open(dir).unwrap())
 }
@@ -50,7 +50,7 @@ fn scratch_store() -> (PathBuf, RunStore) {
 fn pinned_sweep_matches_golden_artifact() {
     let spec = SweepSpec::parse(SPEC).expect("pinned spec parses");
     assert_eq!(spec.grid_len(), 6);
-    let (dir, store) = scratch_store();
+    let (dir, store) = scratch_store("pinned");
     let run = run_local_with(&spec, Some(&store), 1, None).unwrap();
     let rendered = artifact::render(&spec, &run);
     drop(store);
@@ -104,4 +104,51 @@ fn pinned_sweep_matches_golden_artifact() {
         "sweep artifact drifted from {GOLDEN_PATH}; if intentional, re-bless \
          (RAMP_BLESS=1) and bump artifact::SCHEMA on layout changes"
     );
+}
+
+/// A `sweep_frontier`-shaped grid (two workloads × profile, static and
+/// migration policies × two FC intervals) without a run store: the
+/// executor must simulate each distinct run once — every DDR-only profile
+/// a single time, whether it is a point itself or only a dependency — and
+/// render the same artifact bytes as a store-backed run.
+#[test]
+fn store_less_sweep_simulates_each_profile_once() {
+    let spec_for = |policies: &str| {
+        SweepSpec::parse(&format!(
+            "[sweep]\nname = \"storeless\"\nstrategy = \"grid\"\nbase = \"smoke\"\n\
+             insts = 20000\n\n[axes]\nworkload = [\"astar\", \"mcf\"]\n\
+             policy = [{policies}]\nfc_interval_cycles = [60000, 30000]\n"
+        ))
+        .expect("spec parses")
+    };
+    // Distinct (workload, config) profiles: 2 workloads x 2 intervals.
+    let profiles = 4;
+    for (policies, dependency_only) in [
+        (
+            "\"profile\", \"perf-focused\", \"balanced\", \"migration:perf-fc\"",
+            0,
+        ),
+        ("\"perf-focused\", \"migration:perf-fc\"", profiles),
+    ] {
+        let spec = spec_for(policies);
+        let points = spec.grid_len() as u64;
+        let bare = run_local_with(&spec, None, 2, None).unwrap();
+        assert_eq!(bare.counters.simulated, points);
+        assert_eq!(bare.counters.profile_sims, dependency_only);
+        assert_eq!(
+            bare.counters.tasks,
+            points + dependency_only,
+            "a profile or point was simulated more than once"
+        );
+
+        let (dir, store) = scratch_store("storeless");
+        let stored = run_local_with(&spec, Some(&store), 2, None).unwrap();
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            artifact::render(&spec, &bare),
+            artifact::render(&spec, &stored),
+            "store-less artifact differs from the store-backed one"
+        );
+    }
 }

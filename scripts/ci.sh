@@ -8,6 +8,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The line the experiment harness prints on stderr per simulated run:
+# `  [profile] lbm`, `  [static perf-focused] lbm`, ... A warm run that
+# matches it simulated something.
+SIM_LINE='^  \[(profile|static|migration|annotated)[] ]'
+
 # Optional stage selector. Without an argument the full hermetic gate
 # below runs (build + tests + golden/warm/chaos/checkpoint/sweep/wal/
 # shard smokes + bench-smoke). `bench` and `bench-smoke` run the performance scorecard
@@ -75,7 +80,7 @@ wal_smoke_stage() {
         > "$dir/compacted.out" 2> "$dir/compacted.err"
     cmp "$dir/cold.out" "$dir/compacted.out" \
         || { echo "FAIL: stdout differs after compaction"; exit 1; }
-    if grep -qE '^\[(profile|static)\]' "$dir/compacted.err"; then
+    if grep -qE "$SIM_LINE" "$dir/compacted.err"; then
         echo "FAIL: post-compaction run simulated instead of hitting the WAL"
         exit 1
     fi
@@ -276,7 +281,9 @@ RAMP_THREADS=4 cargo test -q --offline -p ramp --test golden_stats
 
 # Warm-start gate: a second invocation of an experiment binary must be
 # served entirely from the run store — zero simulations, byte-identical
-# stdout — and the table epilogue must show actual store hits.
+# stdout — and the table epilogue must show actual store hits. The whole
+# suite (`all_experiments`, Figure 13's per-interval configs included)
+# must replay warm the same way.
 echo "==> warm-start byte-identity (fig05_perf_static)"
 STORE_DIR="$(mktemp -d)"
 WARM_ENV=(RAMP_STORE_DIR="$STORE_DIR" RAMP_WORKLOADS=lbm,mcf RAMP_INSTS=100000)
@@ -287,8 +294,21 @@ env "${WARM_ENV[@]}" RAMP_STATS=json target/release/fig05_perf_static \
     > "$STORE_DIR/warm.out" 2> "$STORE_DIR/warm.err"
 cmp "$STORE_DIR/cold.out" "$STORE_DIR/warm.out" \
     || { echo "FAIL: warm stdout differs from cold stdout"; exit 1; }
-if grep -qE '^\[(profile|static)\]' "$STORE_DIR/warm.err"; then
+if grep -qE "$SIM_LINE" "$STORE_DIR/warm.err"; then
     echo "FAIL: warm run simulated instead of hitting the store"
+    exit 1
+fi
+echo "==> warm-start byte-identity (all_experiments)"
+SUITE_ENV=("${WARM_ENV[@]}" RAMP_STORE_DIR="$STORE_DIR/suite-store")
+env "${SUITE_ENV[@]}" target/release/all_experiments \
+    > "$STORE_DIR/suite-cold.out" 2> "$STORE_DIR/suite-cold.err"
+env "${SUITE_ENV[@]}" target/release/all_experiments \
+    > "$STORE_DIR/suite-warm.out" 2> "$STORE_DIR/suite-warm.err"
+cmp "$STORE_DIR/suite-cold.out" "$STORE_DIR/suite-warm.out" \
+    || { echo "FAIL: warm all_experiments stdout differs from cold stdout"; exit 1; }
+if grep -qE "$SIM_LINE" "$STORE_DIR/suite-warm.err"; then
+    echo "FAIL: warm all_experiments simulated instead of hitting the store"
+    grep -E "$SIM_LINE" "$STORE_DIR/suite-warm.err"
     exit 1
 fi
 env "${WARM_ENV[@]}" RAMP_STATS=table target/release/fig05_perf_static \
