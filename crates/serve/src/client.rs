@@ -23,7 +23,6 @@
 //! [`ClientError`] values, never bare strings or panics.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -32,7 +31,7 @@ use std::time::{Duration, Instant};
 use ramp_sim::codec::fnv1a64;
 use ramp_sim::rng::mix64;
 
-use crate::http::{read_response_full, HttpResponse};
+use crate::http::{read_response_full, write_request, HttpResponse};
 use crate::json::{parse_flat, ObjWriter};
 
 /// Default per-request socket timeout.
@@ -346,6 +345,7 @@ impl Client {
         }
         let mut stream =
             TcpStream::connect(addr).map_err(|e| (true, format!("connect {addr}: {e}")))?;
+        let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(self.timeout));
         let _ = stream.set_write_timeout(Some(self.timeout));
         let resp = Self::exchange(&mut stream, addr, method, path, body).map_err(|e| (false, e))?;
@@ -362,13 +362,7 @@ impl Client {
         path: &str,
         body: &str,
     ) -> Result<HttpResponse, String> {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n",
-            body.len()
-        );
-        stream
-            .write_all(head.as_bytes())
-            .and_then(|_| stream.write_all(body.as_bytes()))
+        write_request(stream, method, path, addr, body)
             .map_err(|e| format!("send request: {e}"))?;
         read_response_full(stream)
     }

@@ -199,15 +199,48 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Writes one HTTP/1.1 message in a single `write_all`, then flushes:
+/// the `start` line, `headers` in order, `content-length`, `connection`
+/// (`keep-alive` or `close`), a blank line and `body`.
+///
+/// Every message the server, the router and the client send goes
+/// through here. One write per message matters: a head and a body
+/// written separately leave the body waiting on the peer's delayed ACK
+/// (about 40 ms) whenever Nagle holds it behind the unacknowledged head.
+fn write_message<W: Write>(
+    out: &mut W,
+    start: &str,
+    headers: &[(&str, &str)],
+    body: &str,
+    keep_alive: bool,
+) -> std::io::Result<()> {
+    use std::fmt::Write as _;
+    let mut msg = String::with_capacity(start.len() + 128 + body.len());
+    msg.push_str(start);
+    msg.push_str("\r\n");
+    for (name, value) in headers {
+        let _ = write!(msg, "{name}: {value}\r\n");
+    }
+    let _ = write!(
+        msg,
+        "content-length: {}\r\nconnection: {}\r\n\r\n",
+        body.len(),
+        if keep_alive { "keep-alive" } else { "close" }
+    );
+    msg.push_str(body);
+    out.write_all(msg.as_bytes())?;
+    out.flush()
+}
+
 /// Writes one response with `Connection: close` and flushes.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
+pub fn write_response<W: Write>(stream: &mut W, status: u16, body: &str) -> std::io::Result<()> {
     write_response_keep(stream, status, &[], body, false)
 }
 
 /// [`write_response`] with extra headers (e.g. `retry-after` on a 429).
 /// Header names must already be lower-case.
-pub fn write_response_with(
-    stream: &mut TcpStream,
+pub fn write_response_with<W: Write>(
+    stream: &mut W,
     status: u16,
     extra_headers: &[(&str, &str)],
     body: &str,
@@ -216,25 +249,30 @@ pub fn write_response_with(
 }
 
 /// Writes one response, advertising whether the connection stays open.
-pub fn write_response_keep(
-    stream: &mut TcpStream,
+pub fn write_response_keep<W: Write>(
+    stream: &mut W,
     status: u16,
     extra_headers: &[(&str, &str)],
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!("HTTP/1.1 {} {}\r\n", status, reason(status));
-    for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str(&format!(
-        "content-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" }
-    ));
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    let mut headers = extra_headers.to_vec();
+    headers.push(("content-type", "application/json"));
+    let start = format!("HTTP/1.1 {} {}", status, reason(status));
+    write_message(stream, &start, &headers, body, keep_alive)
+}
+
+/// Writes one keep-alive request to `host` (the router's upstream
+/// requests and the client's requests).
+pub(crate) fn write_request<W: Write>(
+    stream: &mut W,
+    method: &str,
+    path: &str,
+    host: &str,
+    body: &str,
+) -> std::io::Result<()> {
+    let start = format!("{method} {path} HTTP/1.1");
+    write_message(stream, &start, &[("host", host)], body, true)
 }
 
 /// A parsed response: status, headers (names lower-cased), body.
@@ -440,6 +478,7 @@ where
             break;
         }
         let Ok(mut stream) = stream else { continue };
+        let _ = stream.set_nodelay(true);
         if conns.len() >= policy.backlog {
             // Shed: answering 503 here keeps overload visible instead of
             // letting the accept backlog grow without bound.
@@ -571,6 +610,72 @@ mod tests {
         let result = read_request(&mut server_side);
         drop(client.join().unwrap());
         result
+    }
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Runs `send` against a recorder and returns its single write.
+    fn one_write(send: impl FnOnce(&mut Recorder) -> std::io::Result<()>) -> Vec<u8> {
+        let mut rec = Recorder::default();
+        send(&mut rec).unwrap();
+        assert_eq!(rec.writes.len(), 1, "a message must leave in one write");
+        rec.writes.pop().unwrap()
+    }
+
+    #[test]
+    fn every_message_is_one_write_in_the_established_format() {
+        let mib = "x".repeat(1 << 20);
+        for body in ["", "{", "{\"ok\":true}", mib.as_str()] {
+            let n = body.len();
+            let expect = |head: String| [head.as_bytes(), body.as_bytes()].concat();
+            assert_eq!(
+                one_write(|w| write_response_keep(w, 200, &[], body, true)),
+                expect(format!(
+                    "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                     content-length: {n}\r\nconnection: keep-alive\r\n\r\n"
+                ))
+            );
+            assert_eq!(
+                one_write(|w| write_response_with(w, 429, &[("retry-after", "1")], body)),
+                expect(format!(
+                    "HTTP/1.1 429 Too Many Requests\r\nretry-after: 1\r\n\
+                     content-type: application/json\r\ncontent-length: {n}\r\n\
+                     connection: close\r\n\r\n"
+                ))
+            );
+            assert_eq!(
+                one_write(|w| write_response(w, 503, body)),
+                expect(format!(
+                    "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+                     content-length: {n}\r\nconnection: close\r\n\r\n"
+                ))
+            );
+            // The router's upstream requests and the client's requests.
+            for host in ["shard", "127.0.0.1:7070"] {
+                assert_eq!(
+                    one_write(|w| write_request(w, "POST", "/runs", host, body)),
+                    expect(format!(
+                        "POST /runs HTTP/1.1\r\nhost: {host}\r\ncontent-length: {n}\r\n\
+                         connection: keep-alive\r\n\r\n"
+                    ))
+                );
+            }
+        }
     }
 
     #[test]

@@ -53,7 +53,6 @@
 //! hint retried).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,7 +63,9 @@ use ramp_sim::chaos::{self, Chaos, FaultKind};
 use ramp_sim::codec::fnv1a64;
 use ramp_sim::telemetry::StatRegistry;
 
-use crate::http::{read_response_full, serve_pooled, HttpResponse, PoolPolicy, Reply, Request};
+use crate::http::{
+    read_response_full, serve_pooled, write_request, HttpResponse, PoolPolicy, Reply, Request,
+};
 use crate::json::{error_body, parse_flat, ObjWriter};
 use crate::server::MAX_BATCH;
 use crate::spec::RunSpec;
@@ -288,23 +289,14 @@ fn connect_shard(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
         .map_err(|e| format!("resolve {addr}: {e}"))?
         .next()
         .ok_or_else(|| format!("resolve {addr}: no address"))?;
-    TcpStream::connect_timeout(&sa, timeout).map_err(|e| format!("connect {addr}: {e}"))
+    let stream =
+        TcpStream::connect_timeout(&sa, timeout).map_err(|e| format!("connect {addr}: {e}"))?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
-fn send_request(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: shard\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
+/// The `host` header of every upstream request.
+const UPSTREAM_HOST: &str = "shard";
 
 /// One request to shard `idx`, reusing a pooled connection when one is
 /// fresh (a stale pooled connection gets one silent fresh-dial retry —
@@ -342,7 +334,7 @@ fn exchange(
     path: &str,
     body: &str,
 ) -> Result<HttpResponse, String> {
-    send_request(stream, method, path, body).map_err(|e| format!("send: {e}"))?;
+    write_request(stream, method, path, UPSTREAM_HOST, body).map_err(|e| format!("send: {e}"))?;
     read_response_full(stream)
 }
 
@@ -991,7 +983,7 @@ fn probe_once(shard: &ShardState, timeout: Duration) -> bool {
     };
     let _ = s.set_read_timeout(Some(timeout));
     let _ = s.set_write_timeout(Some(timeout));
-    if send_request(&mut s, "GET", "/health", "").is_err() {
+    if write_request(&mut s, "GET", "/health", UPSTREAM_HOST, "").is_err() {
         return false;
     }
     matches!(read_response_full(&mut s), Ok(resp) if resp.status == 200)

@@ -51,7 +51,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ramp_core::config::SystemConfig;
-use ramp_core::system::RunResult;
 use ramp_sim::chaos::{self, Chaos, FaultKind};
 use ramp_sim::telemetry::StatRegistry;
 
@@ -60,7 +59,8 @@ use crate::json::{error_body, parse_flat, ObjWriter};
 use crate::queue::{BoundedQueue, PushError};
 use crate::router::route_shard;
 use crate::spec::{RunProgress, RunSpec};
-use crate::store::RunStore;
+use crate::store::{RunKind, RunStore};
+use crate::wire::RunHead;
 
 /// Server tuning knobs plus the simulated system configuration.
 #[derive(Debug)]
@@ -144,20 +144,26 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    fn from_run(key: &str, run: &RunResult) -> Self {
+    fn from_head(key: &str, head: RunHead) -> Self {
+        // The same ratio as `RunResult::ser_vs_ddr_only`.
+        let ser_vs_ddr_only = if head.ser_ddr_only_fit == 0.0 {
+            1.0
+        } else {
+            head.ser_fit / head.ser_ddr_only_fit
+        };
         RunSummary {
             key: key.to_string(),
-            workload: run.workload.clone(),
-            policy: run.policy.clone(),
-            ipc: run.ipc,
-            ser_fit: run.ser_fit,
-            ser_vs_ddr_only: run.ser_vs_ddr_only(),
-            cycles: run.cycles,
-            instructions: run.instructions,
-            mpki: run.mpki,
-            hbm_accesses: run.hbm_accesses,
-            ddr_accesses: run.ddr_accesses,
-            migrations: run.migrations,
+            workload: head.workload,
+            policy: head.policy,
+            ipc: head.ipc,
+            ser_fit: head.ser_fit,
+            ser_vs_ddr_only,
+            cycles: head.cycles,
+            instructions: head.instructions,
+            mpki: head.mpki,
+            hbm_accesses: head.hbm_accesses,
+            ddr_accesses: head.ddr_accesses,
+            migrations: head.migrations,
         }
     }
 
@@ -516,7 +522,7 @@ fn run_one(shared: &Shared, job: Job) {
             }
             shared.set_state(
                 job.id,
-                JobState::Done(RunSummary::from_run(&key, &outcome.run)),
+                JobState::Done(RunSummary::from_head(&key, RunHead::from(&outcome.run))),
             );
             shared.completed.fetch_add(1, Ordering::SeqCst);
         }
@@ -605,7 +611,7 @@ enum SubmitOutcome {
     /// The spec didn't parse.
     Invalid(String),
     /// Served warm from the store.
-    Cached { key: String, run: Box<RunResult> },
+    Cached { key: String, head: RunHead },
     /// Routed to a worker queue.
     Queued { id: u64, key: String },
     /// The routed worker's queue is full (load shed).
@@ -622,14 +628,12 @@ fn submit_one(shared: &Shared, workload: &str, kind: &str, policy: &str) -> Subm
     let key = spec.key(&shared.sim);
 
     // Warm path: answer immediately from the store, no queue slot used.
-    if let Some(run) = shared.store.as_ref().and_then(|s| match spec.kind() {
-        crate::store::RunKind::Annotated => s.load_annotated(&key).map(|(run, _)| run),
-        _ => s.load_run(&key),
-    }) {
-        return SubmitOutcome::Cached {
-            key,
-            run: Box::new(run),
-        };
+    if let Some(head) = shared
+        .store
+        .as_ref()
+        .and_then(|s| s.load_head(&key, spec.kind()))
+    {
+        return SubmitOutcome::Cached { key, head };
     }
 
     shared.chaos_slow("server.queue");
@@ -667,10 +671,10 @@ fn submit(shared: &Shared, body: &str) -> (u16, String) {
     let get = |k: &str| fields.get(k).map(String::as_str).unwrap_or("");
     match submit_one(shared, get("workload"), get("kind"), get("policy")) {
         SubmitOutcome::Invalid(msg) => (400, error_body(&msg)),
-        SubmitOutcome::Cached { key, run } => {
+        SubmitOutcome::Cached { key, head } => {
             let mut w = ObjWriter::new();
             w.str("state", "done").bool("cached", true);
-            RunSummary::from_run(&key, &run).write_fields(&mut w);
+            RunSummary::from_head(&key, head).write_fields(&mut w);
             (200, w.finish())
         }
         SubmitOutcome::Queued { id, key } => {
@@ -727,10 +731,10 @@ fn submit_batch(shared: &Shared, body: &str) -> (u16, String) {
                 w.str(&format!("{p}state"), "rejected")
                     .str(&format!("{p}error"), &msg);
             }
-            SubmitOutcome::Cached { key, run } => {
+            SubmitOutcome::Cached { key, head } => {
                 w.str(&format!("{p}state"), "done")
                     .bool(&format!("{p}cached"), true);
-                RunSummary::from_run(&key, &run).write_fields_prefixed(&mut w, &p);
+                RunSummary::from_head(&key, head).write_fields_prefixed(&mut w, &p);
             }
             SubmitOutcome::Queued { id, key } => {
                 w.str(&format!("{p}state"), "queued")
@@ -814,14 +818,15 @@ fn stored_run(shared: &Shared, key: &str) -> (u16, String) {
     let Some(store) = shared.store.as_ref() else {
         return (404, error_body("no store configured"));
     };
-    let run = store
-        .load_run(key)
-        .or_else(|| store.load_annotated(key).map(|(run, _)| run));
-    match run {
-        Some(run) => {
+    // Every kind but `Annotated` lives in the `.run` entry.
+    let head = store
+        .load_head(key, RunKind::Static)
+        .or_else(|| store.load_head(key, RunKind::Annotated));
+    match head {
+        Some(head) => {
             let mut w = ObjWriter::new();
             w.str("state", "done").bool("cached", true);
-            RunSummary::from_run(key, &run).write_fields(&mut w);
+            RunSummary::from_head(key, head).write_fields(&mut w);
             (200, w.finish())
         }
         None => (404, error_body("no stored run under that key")),

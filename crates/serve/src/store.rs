@@ -39,6 +39,15 @@
 //! [`RunStore::verify`] (read-only validation) and [`RunStore::scrub`]
 //! (healing walk, which also reclaims orphaned checkpoint trails whose
 //! base run entry is missing or quarantined).
+//!
+//! **Summary reads.** [`RunStore::load_head`] answers the server's warm
+//! lookups with only the summary fields of an entry
+//! ([`wire::RunHead`]). In file mode it streams the file through one
+//! 64 KiB buffer, hashing the per-page table without keeping it; in WAL
+//! mode it decodes the head from the value. It accepts, rejects,
+//! counts and quarantines exactly as [`RunStore::load_run`] does, so a
+//! warm answer is as trustworthy as a full decode at a fraction of its
+//! memory.
 
 use std::fs;
 use std::io::Write as _;
@@ -50,7 +59,7 @@ use ramp_core::annotate::AnnotationSet;
 use ramp_core::config::SystemConfig;
 use ramp_core::system::{RunResult, CHECKPOINT_KIND, CHECKPOINT_VERSION};
 use ramp_sim::chaos::{self, Chaos, FaultKind};
-use ramp_sim::codec::{decode_framed, fnv1a64_seeded, ByteWriter};
+use ramp_sim::codec::{decode_framed, fnv1a64_seeded, ByteWriter, CodecError};
 use ramp_sim::telemetry::StatRegistry;
 
 use crate::wal::{self, AppendError, ReplayReport, ValueKind, Wal};
@@ -425,36 +434,97 @@ impl RunStore {
         }
     }
 
-    /// Loads the run stored under `key`, if present and valid.
-    /// Undecodable entries are quarantined and count as misses.
-    pub fn load_run(&self, key: &str) -> Option<RunResult> {
+    /// Reads the `kind` entry of `key` and decodes it, with the chaos
+    /// roll, hit/miss accounting and quarantine every load shares.
+    fn load_entry<T>(
+        &self,
+        key: &str,
+        kind: ValueKind,
+        decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
+    ) -> Option<T> {
+        let ext = match kind {
+            ValueKind::Run => "run",
+            ValueKind::Annotated => "ann",
+        };
         if let Some(wal) = &self.wal {
-            let bytes = self.wal_load(wal, ValueKind::Run, key)?;
-            return match wire::decode_run(&bytes) {
-                Ok(run) => {
+            let bytes = self.wal_load(wal, kind, key)?;
+            return match decode(&bytes) {
+                Ok(value) => {
                     self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(run)
+                    Some(value)
                 }
                 Err(e) => {
-                    self.wal_invalid(
-                        wal,
-                        ValueKind::Run,
-                        key,
-                        &format!("{key}.run"),
-                        &format!("{e:?}"),
-                    );
+                    self.wal_invalid(wal, kind, key, &format!("{key}.{ext}"), &format!("{e:?}"));
                     None
                 }
             };
         }
-        let path = self.path_for(key, "run");
+        let path = self.path_for(key, ext);
         let bytes = self.load_bytes(&path)?;
-        match wire::decode_run(&bytes) {
-            Ok(run) => {
+        match decode(&bytes) {
+            Ok(value) => {
                 self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                Some(run)
+                Some(value)
             }
             Err(e) => {
+                self.note_invalid(&path, &format!("{e:?}"));
+                None
+            }
+        }
+    }
+
+    /// Loads the run stored under `key`, if present and valid.
+    /// Undecodable entries are quarantined and count as misses.
+    pub fn load_run(&self, key: &str) -> Option<RunResult> {
+        self.load_entry(key, ValueKind::Run, wire::decode_run)
+    }
+
+    /// Loads the annotated run stored under `key`, if present and valid.
+    /// Undecodable entries are quarantined and count as misses.
+    pub fn load_annotated(&self, key: &str) -> Option<(RunResult, AnnotationSet)> {
+        self.load_entry(key, ValueKind::Annotated, wire::decode_annotated)
+    }
+
+    /// Loads only the summary fields ([`wire::RunHead`]) of the entry
+    /// `kind` keys under `key`: the `.ann` entry for
+    /// [`RunKind::Annotated`], the `.run` entry otherwise.
+    ///
+    /// Accepts and rejects exactly the entries [`RunStore::load_run`] /
+    /// [`RunStore::load_annotated`] do, with the same bookkeeping: one
+    /// `store.read` chaos roll, hits, misses, invalids and quarantines
+    /// counted alike, and an I/O error a plain miss. File mode streams
+    /// the entry through one fixed buffer ([`wire::read_head`]); WAL
+    /// mode decodes the head from the value. Neither builds the page
+    /// table.
+    pub fn load_head(&self, key: &str, kind: RunKind) -> Option<wire::RunHead> {
+        let (value_kind, ext, frame_kind) = match kind {
+            RunKind::Annotated => (ValueKind::Annotated, "ann", wire::KIND_ANNOTATED),
+            _ => (ValueKind::Run, "run", wire::KIND_RUN),
+        };
+        if self.wal.is_some() {
+            return self.load_entry(key, value_kind, |bytes| {
+                wire::decode_head(bytes, frame_kind)
+            });
+        }
+        if self.chaos_roll("store.read") {
+            self.metrics.misses.fetch_add(1, Ordering::Relaxed);
+            return None; // injected read I/O error: a clean miss
+        }
+        let path = self.path_for(key, ext);
+        let read = fs::File::open(&path)
+            .and_then(|f| Ok((f.metadata()?.len(), f)))
+            .map_err(wire::HeadError::Io)
+            .and_then(|(len, f)| wire::read_head(f, len, frame_kind));
+        match read {
+            Ok(head) => {
+                self.metrics.hits.fetch_add(1, Ordering::Relaxed);
+                Some(head)
+            }
+            Err(wire::HeadError::Io(_)) => {
+                self.metrics.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Err(wire::HeadError::Codec(e)) => {
                 self.note_invalid(&path, &format!("{e:?}"));
                 None
             }
@@ -467,42 +537,6 @@ impl RunStore {
             return self.wal_count_put(wal.put(ValueKind::Run, key, &wire::encode_run(run)));
         }
         self.store_bytes(&self.path_for(key, "run"), &wire::encode_run(run))
-    }
-
-    /// Loads the annotated run stored under `key`, if present and valid.
-    /// Undecodable entries are quarantined and count as misses.
-    pub fn load_annotated(&self, key: &str) -> Option<(RunResult, AnnotationSet)> {
-        if let Some(wal) = &self.wal {
-            let bytes = self.wal_load(wal, ValueKind::Annotated, key)?;
-            return match wire::decode_annotated(&bytes) {
-                Ok(pair) => {
-                    self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(pair)
-                }
-                Err(e) => {
-                    self.wal_invalid(
-                        wal,
-                        ValueKind::Annotated,
-                        key,
-                        &format!("{key}.ann"),
-                        &format!("{e:?}"),
-                    );
-                    None
-                }
-            };
-        }
-        let path = self.path_for(key, "ann");
-        let bytes = self.load_bytes(&path)?;
-        match wire::decode_annotated(&bytes) {
-            Ok(pair) => {
-                self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                Some(pair)
-            }
-            Err(e) => {
-                self.note_invalid(&path, &format!("{e:?}"));
-                None
-            }
-        }
     }
 
     /// Persists an annotated run under `key`; `true` once it is
@@ -1562,5 +1596,134 @@ mod tests {
         if let Some(store) = RunStore::from_env() {
             assert!(store.dir().to_string_lossy().contains("ramp-store"));
         }
+    }
+
+    /// Fills a fresh store with runs and annotated runs, damages every
+    /// third `.run` entry, then reads it back in a fixed script under
+    /// `io=0.25` chaos through [`RunStore::load_head`] (`heads`) or the
+    /// full decode. Returns every read's outcome, the store metrics and
+    /// the chaos roll and injection counts.
+    fn scripted_reads(wal: bool, heads: bool) -> (Vec<bool>, [u64; 4], (u64, u64)) {
+        let store = if wal {
+            super::testutil::test_store_wal()
+        } else {
+            test_store()
+        };
+        let run = sample_run();
+        let set = AnnotationSet {
+            structures: vec![(ramp_trace::Benchmark::Lbm, "grid".into())],
+            pinned: [ramp_sim::PageId(3)].into_iter().collect(),
+        };
+        let cfg = SystemConfig::smoke_test();
+        let keys: Vec<(String, String)> = (0..30)
+            .map(|i| {
+                let key = run_key(&cfg, RunKind::Static, "lbm", &format!("p{i}"));
+                let ann = run_key(&cfg, RunKind::Annotated, "lbm", &format!("p{i}"));
+                assert!(store.store_run(&key, &run));
+                assert!(store.store_annotated(&ann, &run, &set));
+                if i % 3 == 0 {
+                    // A foreign value in WAL mode, a flipped byte on disk.
+                    match &store.wal {
+                        Some(wal) => wal
+                            .put(ValueKind::Run, &key, &wire::encode_annotated(&run, &set))
+                            .unwrap(),
+                        None => {
+                            let path = store.path_for(&key, "run");
+                            let mut bytes = fs::read(&path).unwrap();
+                            let at = bytes.len() / 3;
+                            bytes[at] ^= 0x10;
+                            fs::write(&path, bytes).unwrap();
+                        }
+                    }
+                }
+                (key, ann)
+            })
+            .collect();
+
+        let chaos = Arc::new(ramp_sim::chaos::Chaos::from_spec(11, "io=0.25").unwrap());
+        let store = store.with_chaos(Some(Arc::clone(&chaos)));
+        let want = wire::RunHead::from(&run);
+        let read = |key: &str, kind: RunKind| -> bool {
+            if !heads {
+                return match kind {
+                    RunKind::Annotated => store.load_annotated(key).is_some(),
+                    _ => store.load_run(key).is_some(),
+                };
+            }
+            let got = store.load_head(key, kind);
+            if let Some(got) = &got {
+                assert_eq!(got.workload, want.workload);
+                assert_eq!(got.ipc.to_bits(), want.ipc.to_bits());
+                assert_eq!(got.migrations, want.migrations);
+            }
+            got.is_some()
+        };
+        let mut seen = Vec::new();
+        for (i, (key, ann)) in keys.iter().enumerate() {
+            let absent = run_key(&cfg, RunKind::Static, "mcf", &format!("p{i}"));
+            seen.push(read(&absent, RunKind::Static));
+            seen.push(read(key, RunKind::Static));
+            seen.push(read(ann, RunKind::Annotated));
+            seen.push(read(key, RunKind::Annotated)); // no `.ann` entry
+            seen.push(read(ann, RunKind::Profile)); // no `.run` entry
+            seen.push(read(key, RunKind::Static)); // after any quarantine
+        }
+        let m = store.metrics();
+        let counts = [
+            m.hits.load(Ordering::Relaxed),
+            m.misses.load(Ordering::Relaxed),
+            m.invalid.load(Ordering::Relaxed),
+            m.quarantined.load(Ordering::Relaxed),
+        ];
+        let io = ramp_sim::chaos::FaultKind::Io;
+        (seen, counts, (chaos.rolls(io), chaos.injected(io)))
+    }
+
+    #[test]
+    fn load_head_keeps_load_run_bookkeeping_in_both_modes() {
+        for wal in [false, true] {
+            let full = scripted_reads(wal, false);
+            let heads = scripted_reads(wal, true);
+            assert_eq!(heads, full, "wal={wal}: load_head must match load_run");
+            let (_, [hits, misses, invalid, quarantined], (_, injected)) = full;
+            assert!(hits > 0 && misses > 0 && injected > 0, "wal={wal}");
+            assert!(invalid > 0, "wal={wal}: the script must hit damage");
+            assert_eq!(quarantined, invalid, "wal={wal}");
+        }
+    }
+
+    #[test]
+    fn load_head_quarantines_a_corrupt_file_and_misses_an_unreadable_one() {
+        let store = test_store();
+        let cfg = SystemConfig::smoke_test();
+        let key = run_key(&cfg, RunKind::Static, "lbm", "x");
+        store.store_run(&key, &sample_run());
+        let path = store.path_for(&key, "run");
+        let mut bytes = fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 1; // checksum byte
+        fs::write(&path, &bytes).unwrap();
+        assert!(store.load_head(&key, RunKind::Static).is_none());
+        assert!(!path.exists());
+        assert!(path
+            .with_file_name(format!("{key}.run.quarantine"))
+            .exists());
+        assert_eq!(store.metrics().quarantined.load(Ordering::Relaxed), 1);
+
+        // A directory where the entry should be cannot be read: a plain
+        // miss, for the full decode and the head read alike.
+        let dir_key = run_key(&cfg, RunKind::Static, "mcf", "x");
+        let dir_path = store.path_for(&dir_key, "run");
+        fs::create_dir(&dir_path).unwrap();
+        let before = misses(&store);
+        assert!(store.load_run(&dir_key).is_none());
+        assert!(store.load_head(&dir_key, RunKind::Static).is_none());
+        assert_eq!(misses(&store), before + 2);
+        assert_eq!(store.metrics().invalid.load(Ordering::Relaxed), 1);
+        assert_eq!(store.metrics().quarantined.load(Ordering::Relaxed), 1);
+        assert!(
+            dir_path.is_dir(),
+            "an unreadable entry is never quarantined"
+        );
     }
 }

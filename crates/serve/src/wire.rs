@@ -11,13 +11,28 @@
 //! `f64` fields travel as IEEE-754 bit patterns: a decoded result is
 //! *bit-identical* to the encoded one, which is what lets a warm-started
 //! experiment binary produce byte-identical stdout.
+//!
+//! **Summary reads.** A run payload opens with the scalar fields a
+//! summary shows ([`RunHead`]), then the per-page ACE/AVF table — 48
+//! bytes a page, 98–99% of a stored run — then the telemetry snapshot
+//! (and, for annotated runs, the annotation set). [`read_head`] streams
+//! one entry through a single [`HEAD_BUF_BYTES`] buffer: it parses the
+//! head, feeds the table bytes to the checksum without keeping them,
+//! then parses and validates the tail and compares the checksum. It
+//! accepts exactly the entries [`decode_run`] / [`decode_annotated`]
+//! accept, so a summary never trusts bytes a full decode would reject,
+//! and it never builds the page table.
 
 use std::collections::HashSet;
+use std::io::{self, Read};
 
 use ramp_avf::{PageStats, StatsTable};
 use ramp_core::annotate::AnnotationSet;
 use ramp_core::system::RunResult;
-use ramp_sim::codec::{decode_framed, encode_framed, ByteReader, ByteWriter, CodecError};
+use ramp_sim::codec::{
+    decode_framed, encode_framed, fnv1a64, fnv1a64_seeded, read_frame_header, ByteReader,
+    ByteWriter, CodecError, FRAME_HEADER_BYTES,
+};
 use ramp_sim::telemetry::{BinHistogram, Snapshot, Stat};
 use ramp_sim::units::PageId;
 use ramp_trace::Benchmark;
@@ -233,6 +248,14 @@ pub fn decode_annotated(bytes: &[u8]) -> Result<(RunResult, AnnotationSet), Code
     let payload = decode_framed(bytes, KIND_ANNOTATED, WIRE_VERSION)?;
     let mut r = ByteReader::new(payload);
     let run = read_run_payload(&mut r)?;
+    let set = read_annotations(&mut r)?;
+    if !r.is_empty() {
+        return Err(CodecError::Malformed("trailing payload bytes"));
+    }
+    Ok((run, set))
+}
+
+fn read_annotations(r: &mut ByteReader) -> Result<AnnotationSet, CodecError> {
     let n_structs = r.seq_len(8)?;
     let mut structures = Vec::with_capacity(n_structs);
     for _ in 0..n_structs {
@@ -244,10 +267,253 @@ pub fn decode_annotated(bytes: &[u8]) -> Result<(RunResult, AnnotationSet), Code
     let pinned: HashSet<PageId> = (0..n_pinned)
         .map(|_| r.u64().map(PageId))
         .collect::<Result<_, _>>()?;
-    if !r.is_empty() {
-        return Err(CodecError::Malformed("trailing payload bytes"));
+    Ok(AnnotationSet { structures, pinned })
+}
+
+/// The scalar fields of a stored run that a summary shows: everything
+/// a warm answer needs, none of the per-page table.
+#[derive(Clone, Debug)]
+pub struct RunHead {
+    /// Workload name.
+    pub workload: String,
+    /// Policy/scheme label.
+    pub policy: String,
+    /// Aggregate IPC.
+    pub ipc: f64,
+    /// System soft error rate in FIT.
+    pub ser_fit: f64,
+    /// SER of the same run with every page in DDR.
+    pub ser_ddr_only_fit: f64,
+    /// Makespan in cycles.
+    pub cycles: u64,
+    /// Total instructions retired.
+    pub instructions: u64,
+    /// Main-memory accesses per kilo-instruction.
+    pub mpki: f64,
+    /// Demand accesses served by HBM.
+    pub hbm_accesses: u64,
+    /// Demand accesses served by DDR.
+    pub ddr_accesses: u64,
+    /// Page migrations performed.
+    pub migrations: u64,
+}
+
+impl From<&RunResult> for RunHead {
+    fn from(run: &RunResult) -> Self {
+        RunHead {
+            workload: run.workload.clone(),
+            policy: run.policy.clone(),
+            ipc: run.ipc,
+            ser_fit: run.ser_fit,
+            ser_ddr_only_fit: run.ser_ddr_only_fit,
+            cycles: run.cycles,
+            instructions: run.instructions,
+            mpki: run.mpki,
+            hbm_accesses: run.hbm_accesses,
+            ddr_accesses: run.ddr_accesses,
+            migrations: run.migrations,
+        }
     }
-    Ok((run, AnnotationSet { structures, pinned }))
+}
+
+/// Bytes of the checksum that closes a frame.
+const FRAME_CHECKSUM: u64 = 8;
+
+/// Size of the one buffer [`read_head`] streams an entry through.
+pub const HEAD_BUF_BYTES: usize = 64 * 1024;
+
+/// Why [`read_head`] returned no head.
+#[derive(Debug)]
+pub enum HeadError {
+    /// The source failed to read: the entry may be fine, so the store
+    /// counts a plain miss.
+    Io(io::Error),
+    /// The bytes are not a valid entry of the asked kind, exactly when
+    /// the full decode would fail.
+    Codec(CodecError),
+}
+
+impl From<CodecError> for HeadError {
+    fn from(e: CodecError) -> Self {
+        HeadError::Codec(e)
+    }
+}
+
+/// A forward-only reader over one framed entry: a fixed buffer, the
+/// count of payload bytes not yet consumed (the bound every length
+/// check uses, as [`ByteReader::remaining`] does for a full decode) and
+/// the running FNV-1a state over the payload consumed so far.
+struct Stream<R> {
+    src: R,
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+    left: u64,
+    hash: u64,
+}
+
+impl<R: Read> Stream<R> {
+    /// Makes at least one unread byte available; the source ending
+    /// early is a truncated entry.
+    fn fill(&mut self) -> Result<(), HeadError> {
+        while self.pos == self.end {
+            match self.src.read(&mut self.buf) {
+                Ok(0) => return Err(CodecError::Truncated.into()),
+                Ok(n) => (self.pos, self.end) = (0, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(HeadError::Io(e)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Consumes `n` bytes, passing them to `sink` piece by piece; payload
+    /// bytes are bounded by [`Stream::left`] and fed to the checksum.
+    fn consume(
+        &mut self,
+        n: u64,
+        payload: bool,
+        mut sink: impl FnMut(&[u8]),
+    ) -> Result<(), HeadError> {
+        if payload {
+            if n > self.left {
+                return Err(CodecError::Truncated.into());
+            }
+            self.left -= n;
+        }
+        let mut todo = n;
+        while todo > 0 {
+            self.fill()?;
+            let take = (self.end - self.pos).min(usize::try_from(todo).unwrap_or(usize::MAX));
+            let piece = &self.buf[self.pos..self.pos + take];
+            if payload {
+                self.hash = fnv1a64_seeded(self.hash, piece);
+            }
+            sink(piece);
+            self.pos += take;
+            todo -= take as u64;
+        }
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self, payload: bool) -> Result<[u8; N], HeadError> {
+        let mut out = [0u8; N];
+        let mut at = 0;
+        self.consume(N as u64, payload, |piece| {
+            out[at..at + piece.len()].copy_from_slice(piece);
+            at += piece.len();
+        })?;
+        Ok(out)
+    }
+
+    fn skip(&mut self, n: u64) -> Result<(), HeadError> {
+        self.consume(n, true, |_| {})
+    }
+
+    fn u32(&mut self) -> Result<u32, HeadError> {
+        Ok(u32::from_le_bytes(self.array(true)?))
+    }
+
+    fn u64(&mut self) -> Result<u64, HeadError> {
+        Ok(u64::from_le_bytes(self.array(true)?))
+    }
+
+    fn f64(&mut self) -> Result<f64, HeadError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// [`ByteReader::str`] over the stream.
+    fn str(&mut self) -> Result<String, HeadError> {
+        let len = self.u32()?;
+        let mut bytes = Vec::new();
+        self.consume(u64::from(len), true, |piece| bytes.extend_from_slice(piece))?;
+        String::from_utf8(bytes).map_err(|_| CodecError::Malformed("non-UTF-8 string").into())
+    }
+
+    /// Skips a sequence of a `u32` count and `elem_bytes`-byte elements,
+    /// bounded by the payload as [`ByteReader::seq_len`] bounds it.
+    fn skip_seq(&mut self, elem_bytes: u64) -> Result<(), HeadError> {
+        let n = self.u32()?;
+        self.skip(u64::from(n) * elem_bytes)
+    }
+}
+
+/// Reads the [`RunHead`] of one framed entry of `kind` ([`KIND_RUN`] or
+/// [`KIND_ANNOTATED`]) that is `len` bytes long, streaming it from
+/// `src` through one [`HEAD_BUF_BYTES`] buffer.
+///
+/// Checks the frame header against `len`, parses the head scalars,
+/// feeds the per-core IPCs and the per-page table to the checksum
+/// without keeping them, parses and validates the tail (snapshot, and
+/// the annotation set for `KIND_ANNOTATED`), then compares the
+/// checksum. Returns a head exactly when the full decode of the same
+/// bytes succeeds, and then it is bit-equal to the decoded run's
+/// fields; [`HeadError::Io`] only when `src` itself fails.
+pub fn read_head<R: Read>(src: R, len: u64, kind: u8) -> Result<RunHead, HeadError> {
+    let cap = usize::try_from(len).map_or(HEAD_BUF_BYTES, |n| n.clamp(1, HEAD_BUF_BYTES));
+    let mut s = Stream {
+        src,
+        buf: vec![0; cap],
+        pos: 0,
+        end: 0,
+        left: 0,
+        hash: fnv1a64(&[]),
+    };
+    let header: [u8; FRAME_HEADER_BYTES] = s.array(false)?;
+    let payload_len = read_frame_header(&mut ByteReader::new(&header), kind, WIRE_VERSION)?;
+    let body = len.saturating_sub(FRAME_HEADER_BYTES as u64);
+    if payload_len > body || body - payload_len < FRAME_CHECKSUM {
+        return Err(CodecError::Truncated.into());
+    }
+    if body - payload_len > FRAME_CHECKSUM {
+        return Err(CodecError::Malformed("trailing bytes after checksum").into());
+    }
+    s.left = payload_len;
+
+    let workload = s.str()?;
+    let policy = s.str()?;
+    let ipc = s.f64()?;
+    s.skip_seq(8)?; // per-core IPCs
+    let head = RunHead {
+        workload,
+        policy,
+        ipc,
+        ser_fit: s.f64()?,
+        ser_ddr_only_fit: s.f64()?,
+        cycles: s.u64()?,
+        instructions: s.u64()?,
+        mpki: s.f64()?,
+        hbm_accesses: s.u64()?,
+        ddr_accesses: s.u64()?,
+        migrations: s.u64()?,
+    };
+    s.skip(16)?; // mean read latency (HBM, DDR)
+    s.skip(8)?; // table: total cycles
+    s.skip_seq(48)?; // table: pages
+
+    let mut tail = Vec::with_capacity(usize::try_from(s.left).unwrap_or(0));
+    s.consume(s.left, true, |piece| tail.extend_from_slice(piece))?;
+    let mut r = ByteReader::new(&tail);
+    read_snapshot(&mut r)?;
+    if kind == KIND_ANNOTATED {
+        read_annotations(&mut r)?;
+    }
+    if !r.is_empty() {
+        return Err(CodecError::Malformed("trailing payload bytes").into());
+    }
+    let checksum = u64::from_le_bytes(s.array(false)?);
+    if checksum != s.hash {
+        return Err(CodecError::BadChecksum.into());
+    }
+    Ok(head)
+}
+
+/// [`read_head`] over an in-memory entry (a WAL value).
+pub fn decode_head(bytes: &[u8], kind: u8) -> Result<RunHead, CodecError> {
+    read_head(bytes, bytes.len() as u64, kind).map_err(|e| match e {
+        HeadError::Codec(e) => e,
+        HeadError::Io(e) => unreachable!("reading a byte slice cannot fail: {e}"),
+    })
 }
 
 /// Test-only fixtures shared across the crate's unit tests.

@@ -7,8 +7,14 @@
 use ramp_avf::{PageStats, StatsTable};
 use ramp_core::annotate::AnnotationSet;
 use ramp_core::system::RunResult;
-use ramp_sim::check::{check, Gen};
-use ramp_sim::codec::CodecError;
+use std::io::Read;
+
+use ramp_serve::wire::{
+    decode_annotated, decode_head, decode_run, encode_annotated, encode_run, read_head, HeadError,
+    RunHead, HEAD_BUF_BYTES, KIND_ANNOTATED, KIND_RUN, WIRE_VERSION,
+};
+use ramp_sim::check::{check, check_n, Gen};
+use ramp_sim::codec::{decode_framed, encode_framed, CodecError};
 use ramp_sim::telemetry::{BinHistogram, Snapshot, Stat};
 use ramp_sim::PageId;
 use ramp_trace::{Benchmark, Workload};
@@ -125,20 +131,24 @@ fn random_runs_round_trip_bit_exactly() {
     });
 }
 
+fn gen_set(g: &mut Gen) -> AnnotationSet {
+    let benches = Benchmark::ALL;
+    AnnotationSet {
+        structures: g.vec(0, 5, |g| {
+            (*g.pick(&benches), format!("structure{}", g.u64_below(10)))
+        }),
+        pinned: g
+            .vec(0, 20, |g| PageId(g.u64_below(1 << 30)))
+            .into_iter()
+            .collect(),
+    }
+}
+
 #[test]
 fn random_annotated_runs_round_trip() {
     check("wire: annotated round trip", |g| {
         let run = gen_run(g);
-        let benches = Benchmark::ALL;
-        let set = AnnotationSet {
-            structures: g.vec(0, 5, |g| {
-                (*g.pick(&benches), format!("structure{}", g.u64_below(10)))
-            }),
-            pinned: g
-                .vec(0, 20, |g| PageId(g.u64_below(1 << 30)))
-                .into_iter()
-                .collect(),
-        };
+        let set = gen_set(g);
         let bytes = ramp_serve::wire::encode_annotated(&run, &set);
         let (back, back_set) = ramp_serve::wire::decode_annotated(&bytes).unwrap();
         assert_bit_equal(&run, &back);
@@ -193,6 +203,190 @@ fn version_and_kind_skew_are_clean_misses() {
         ramp_serve::wire::decode_annotated(&good),
         Err(CodecError::WrongKind { .. })
     ));
+}
+
+/// An in-memory source that hands out at most `max` bytes per `read`,
+/// so the streamed head reader refills its buffer at arbitrary offsets.
+struct Chunky<'a> {
+    bytes: &'a [u8],
+    max: usize,
+}
+
+impl Read for Chunky<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.max).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+fn streamed_head(bytes: &[u8], kind: u8, max: usize) -> Result<RunHead, CodecError> {
+    match read_head(Chunky { bytes, max }, bytes.len() as u64, kind) {
+        Ok(head) => Ok(head),
+        Err(HeadError::Codec(e)) => Err(e),
+        Err(HeadError::Io(e)) => panic!("an in-memory source cannot fail: {e}"),
+    }
+}
+
+fn assert_heads_bit_equal(a: &RunHead, b: &RunHead) {
+    assert_eq!(a.workload, b.workload);
+    assert_eq!(a.policy, b.policy);
+    assert_eq!(a.ipc.to_bits(), b.ipc.to_bits());
+    assert_eq!(a.ser_fit.to_bits(), b.ser_fit.to_bits());
+    assert_eq!(a.ser_ddr_only_fit.to_bits(), b.ser_ddr_only_fit.to_bits());
+    assert_eq!(a.cycles, b.cycles);
+    assert_eq!(a.instructions, b.instructions);
+    assert_eq!(a.mpki.to_bits(), b.mpki.to_bits());
+    assert_eq!(a.hbm_accesses, b.hbm_accesses);
+    assert_eq!(a.ddr_accesses, b.ddr_accesses);
+    assert_eq!(a.migrations, b.migrations);
+}
+
+/// Both head readers — over the slice, and streamed `chunk` bytes per
+/// read — must fail exactly when the full decode of `bytes` as `kind`
+/// fails, and otherwise return the decoded run's head bit for bit.
+fn assert_heads_agree(bytes: &[u8], kind: u8, chunk: usize) {
+    let full = if kind == KIND_ANNOTATED {
+        decode_annotated(bytes).map(|(run, _)| RunHead::from(&run))
+    } else {
+        decode_run(bytes).map(|run| RunHead::from(&run))
+    };
+    let heads = [decode_head(bytes, kind), streamed_head(bytes, kind, chunk)];
+    for (reader, got) in ["slice", "streamed"].iter().zip(&heads) {
+        match (&full, got) {
+            (Ok(want), Ok(got)) => assert_heads_bit_equal(want, got),
+            (Err(_), Err(_)) => {}
+            (want, got) => panic!(
+                "{reader} head reader disagrees with the full decode of {} bytes (kind {kind}, \
+                 chunk {chunk}): full {:?}, head {:?}",
+                bytes.len(),
+                want.as_ref().err(),
+                got.as_ref().err()
+            ),
+        }
+    }
+}
+
+/// A random run entry and its kind: plain or annotated.
+fn gen_entry(g: &mut Gen, run: &RunResult) -> (Vec<u8>, u8) {
+    if g.bool() {
+        (encode_run(run), KIND_RUN)
+    } else {
+        (encode_annotated(run, &gen_set(g)), KIND_ANNOTATED)
+    }
+}
+
+/// Every damage the equivalence properties apply to `good`, a `kind`
+/// entry: each single-byte corruption, each truncation, appended bytes
+/// and the version field skewed. Each payload byte is also corrupted
+/// under a recomputed checksum, so the parsers, not the checksum, must
+/// reject those.
+fn damaged_copies(g: &mut Gen, good: &[u8], kind: u8) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for at in 0..good.len() {
+        let mut bad = good.to_vec();
+        bad[at] ^= g.u8_in_inclusive(1, 255);
+        out.push(bad);
+    }
+    for cut in 0..good.len() {
+        out.push(good[..cut].to_vec());
+    }
+    for extra in [1, 8, 9] {
+        let mut long = good.to_vec();
+        long.extend(std::iter::repeat_n(0u8, extra));
+        out.push(long);
+    }
+    let mut skewed = good.to_vec();
+    skewed[8] ^= 0x01; // first byte of the little-endian version field
+    out.push(skewed);
+    let payload = decode_framed(good, kind, WIRE_VERSION).expect("a fresh entry decodes");
+    for at in 0..payload.len() {
+        let mut bad = payload.to_vec();
+        bad[at] ^= g.u8_in_inclusive(1, 255);
+        out.push(encode_framed(kind, WIRE_VERSION, &bad));
+    }
+    out
+}
+
+fn other_kind(kind: u8) -> u8 {
+    if kind == KIND_RUN {
+        KIND_ANNOTATED
+    } else {
+        KIND_RUN
+    }
+}
+
+#[test]
+fn head_readers_accept_exactly_what_the_full_decode_accepts() {
+    check_n("wire: head readers match the full decode", 48, |g| {
+        let run = gen_run(g);
+        let (good, kind) = gen_entry(g, &run);
+        let chunk = g.usize_in(1, 40);
+        assert_heads_agree(&good, kind, chunk);
+        let head = decode_head(&good, kind).expect("a fresh entry has a head");
+        assert_heads_bit_equal(&head, &RunHead::from(&run));
+        for bad in damaged_copies(g, &good, kind) {
+            assert_heads_agree(&bad, kind, chunk);
+        }
+        // Kind skew: each kind read as the other, and each payload
+        // framed as the other kind under a valid checksum.
+        let other = other_kind(kind);
+        assert_heads_agree(&good, other, chunk);
+        assert!(decode_head(&good, other).is_err());
+        let payload = decode_framed(&good, kind, WIRE_VERSION).unwrap();
+        let reframed = encode_framed(other, WIRE_VERSION, payload);
+        assert_heads_agree(&reframed, other, chunk);
+        assert!(decode_head(&reframed, other).is_err());
+    });
+}
+
+/// A run whose head and table are larger than the streaming buffer.
+fn gen_big_run(g: &mut Gen) -> RunResult {
+    let mut run = gen_run(g);
+    match g.u64_below(3) {
+        0 => run.workload = "w".repeat(g.usize_in(HEAD_BUF_BYTES - 64, 2 * HEAD_BUF_BYTES)),
+        1 => run.per_core_ipc = vec![1.5; g.usize_in(HEAD_BUF_BYTES / 8, HEAD_BUF_BYTES / 4)],
+        _ => {}
+    }
+    let pages: Vec<PageStats> = (0..g.usize_in(HEAD_BUF_BYTES / 48, 3 * HEAD_BUF_BYTES / 48))
+        .map(|i| PageStats {
+            page: PageId(i as u64),
+            reads: g.u64_below(1 << 20),
+            writes: g.u64_below(1 << 20),
+            ace_hbm: g.u64(),
+            ace_ddr: g.u64(),
+            avf: g.f64_in(0.0, 1.0),
+        })
+        .collect();
+    run.table = StatsTable::from_stats(pages, g.u64());
+    run
+}
+
+#[test]
+fn head_readers_match_across_buffer_boundaries() {
+    // Long strings, many cores and page tables straddling the buffer
+    // boundary, read through the full buffer (the source fills it) and
+    // through short reads. Damage is sampled, densest around each
+    // buffer boundary.
+    check_n("wire: big heads and tables", 12, |g| {
+        let run = gen_big_run(g);
+        let (good, kind) = gen_entry(g, &run);
+        for chunk in [usize::MAX, g.usize_in(1000, 9000)] {
+            assert_heads_agree(&good, kind, chunk);
+        }
+        let mut spots: Vec<usize> = (0..64).map(|_| g.usize_in(0, good.len())).collect();
+        for edge in (HEAD_BUF_BYTES..good.len()).step_by(HEAD_BUF_BYTES) {
+            spots.extend(edge.saturating_sub(24)..(edge + 24).min(good.len()));
+        }
+        spots.extend(good.len().saturating_sub(24)..good.len());
+        for at in spots {
+            let mut bad = good.clone();
+            bad[at] ^= g.u8_in_inclusive(1, 255);
+            assert_heads_agree(&bad, kind, usize::MAX);
+            assert_heads_agree(&good[..at], kind, usize::MAX);
+        }
+    });
 }
 
 #[test]

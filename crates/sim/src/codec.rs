@@ -231,7 +231,7 @@ impl<'a> ByteReader<'a> {
 /// Wraps `payload` in the framed container: magic, `version`, `kind`,
 /// length-prefixed payload, trailing FNV-1a checksum.
 pub fn encode_framed(kind: u8, version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 21 + payload.len());
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + 8 + payload.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&version.to_le_bytes());
     out.push(kind);
@@ -241,14 +241,12 @@ pub fn encode_framed(kind: u8, version: u32, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates a framed container and returns its payload slice.
-///
-/// Checks, in order: magic, format version, payload kind, payload length
-/// (with no trailing bytes allowed), and checksum. Each failure maps to
-/// the corresponding [`CodecError`] — never a panic — so damaged or
-/// stale store entries degrade to cache misses.
-pub fn decode_framed(bytes: &[u8], kind: u8, version: u32) -> Result<&[u8], CodecError> {
-    let mut r = ByteReader::new(bytes);
+/// Bytes of a frame header: magic, format version, kind, payload length.
+pub const FRAME_HEADER_BYTES: usize = MAGIC.len() + 4 + 1 + 8;
+
+/// Consumes a frame header from `r`, checking its magic, `version` and
+/// `kind` in that order, and returns the announced payload length.
+pub fn read_frame_header(r: &mut ByteReader, kind: u8, version: u32) -> Result<u64, CodecError> {
     if r.take(MAGIC.len())? != MAGIC {
         return Err(CodecError::BadMagic);
     }
@@ -266,7 +264,18 @@ pub fn decode_framed(bytes: &[u8], kind: u8, version: u32) -> Result<&[u8], Code
             expected: kind,
         });
     }
-    let len = r.u64()?;
+    r.u64()
+}
+
+/// Validates a framed container and returns its payload slice.
+///
+/// Checks, in order: magic, format version, payload kind, payload length
+/// (with no trailing bytes allowed), and checksum. Each failure maps to
+/// the corresponding [`CodecError`] — never a panic — so damaged or
+/// stale store entries degrade to cache misses.
+pub fn decode_framed(bytes: &[u8], kind: u8, version: u32) -> Result<&[u8], CodecError> {
+    let mut r = ByteReader::new(bytes);
+    let len = read_frame_header(&mut r, kind, version)?;
     if len > r.remaining() as u64 {
         return Err(CodecError::Truncated);
     }
@@ -295,24 +304,7 @@ pub fn decode_framed_prefix(
     version: u32,
 ) -> Result<(&[u8], usize), CodecError> {
     let mut r = ByteReader::new(bytes);
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let found_version = r.u32()?;
-    if found_version != version {
-        return Err(CodecError::WrongVersion {
-            found: found_version,
-            expected: version,
-        });
-    }
-    let found_kind = r.u8()?;
-    if found_kind != kind {
-        return Err(CodecError::WrongKind {
-            found: found_kind,
-            expected: kind,
-        });
-    }
-    let len = r.u64()?;
+    let len = read_frame_header(&mut r, kind, version)?;
     if len > r.remaining() as u64 {
         return Err(CodecError::Truncated);
     }

@@ -135,7 +135,7 @@ sweep_smoke_stage() {
 # stays in the map during the post-kill sweep: the bytes must survive
 # per-request failover, not just health-check eviction.
 shard_smoke_stage() {
-    local dir raddr addr pending stats accepted completed failed expired deadline i
+    local dir raddr addr pending stats accepted completed failed expired deadline i mode
     dir="$(mktemp -d)"
     # shellcheck disable=SC2064
     trap "rm -rf '$dir'" RETURN
@@ -148,7 +148,11 @@ shard_smoke_stage() {
     echo "==> shard-smoke: booting 3 shards + router (replicas=2)"
     SHARD_PIDS=()
     for i in 0 1 2; do
-        RAMP_STORE_DIR="$dir/shard$i-store" RAMP_INSTS=20000 \
+        # Shard 2 runs the WAL backend, so the warm gates below check the
+        # summaries of both the streamed file-mode and the WAL head reads.
+        mode=files
+        [ "$i" = 2 ] && mode=wal
+        RAMP_STORE_MODE="$mode" RAMP_STORE_DIR="$dir/shard$i-store" RAMP_INSTS=20000 \
             target/release/ramp-served --smoke --addr 127.0.0.1:0 \
             --workers 2 --queue 64 --port-file "$dir/shard$i.port" \
             > "$dir/shard$i.out" 2> "$dir/shard$i.err" &
